@@ -21,6 +21,12 @@ from .errors import ValidationError
 MAX_GROUP_ORDER = 400
 
 
+def check_order(order: int, what: str) -> None:
+    """Refuse an order above the cap before any table is allocated."""
+    if order > MAX_GROUP_ORDER:
+        raise ValidationError(f"{what} order {order} exceeds cap {MAX_GROUP_ORDER}")
+
+
 # ---------------------------------------------------------------------------
 # construction tags
 
@@ -83,9 +89,7 @@ class FiniteGroup:
         if self.table.shape != (n, n):
             raise ValidationError(f"{self.name}: table shape {self.table.shape} "
                                   f"does not match {n} labels")
-        if n > MAX_GROUP_ORDER:
-            raise ValidationError(f"{self.name}: order {n} exceeds cap "
-                                  f"{MAX_GROUP_ORDER}")
+        check_order(n, f"{self.name}:")
         inv = np.full(n, -1, dtype=np.int32)
         rows, cols = np.nonzero(self.table == 0)
         inv[rows] = cols
@@ -120,17 +124,17 @@ class FiniteGroup:
         """All h g h^-1 as h runs over the group (with repetitions)."""
         return self.table[self.table[:, g], self.inverse]
 
-    def conjugation_perm(self, h: int) -> np.ndarray:
-        """The permutation g -> h g h^-1 as an id array."""
-        return self.table[self.table[h, :], self.inverse[h]]
-
     def subgroup_generated(self, gens: Sequence[int]) -> np.ndarray:
-        """Sorted ids of the subgroup generated by gens."""
-        cur = np.unique(np.array([0, *gens], dtype=np.int32))
+        """Sorted ids of the subgroup generated by gens, by squaring a mask."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[0] = True
+        mask[np.asarray(gens, dtype=np.intp)] = True
+        cur = np.flatnonzero(mask)
         while True:
-            nxt = np.unique(self.table[np.ix_(cur, cur)])
+            mask[self.table[cur[:, None], cur]] = True
+            nxt = np.flatnonzero(mask)
             if nxt.size == cur.size:
-                return nxt
+                return nxt.astype(np.int32)
             cur = nxt
 
     def element_conjugacy_classes(self) -> list[np.ndarray]:
@@ -230,6 +234,7 @@ def make_trivial() -> FiniteGroup:
 def make_cyclic(n: int, name: str | None = None) -> FiniteGroup:
     if n < 1:
         raise ValidationError("cyclic group needs n >= 1")
+    check_order(n, "cyclic group")
     a = np.arange(n, dtype=np.int32)
     table = (a[:, None] + a[None, :]) % n
     labels = tuple("e" if i == 0 else "t" if i == 1 else f"t^{i}" for i in range(n))
@@ -258,6 +263,7 @@ def make_dihedral(n: int, name: str | None = None) -> FiniteGroup:
     """Dihedral group of order 2n (n >= 1; D1 is the order-2 reflection group)."""
     if n < 1:
         raise ValidationError("dihedral group needs n >= 1")
+    check_order(2 * n, "dihedral group")
     rot = tuple("e" if i == 0 else "r" if i == 1 else f"r^{i}" for i in range(n))
     ref = tuple("s" if i == 0 else f"r^{i}*s" if i > 1 else "r*s" for i in range(n))
     return FiniteGroup(name or f"D{n}", _dihedral_table(n), rot + ref, Dihedral(n))
@@ -343,9 +349,7 @@ def direct_product(left: FiniteGroup, right: FiniteGroup,
                    name: str | None = None) -> FiniteGroup:
     """Direct product with id(a, b) = a * right.order + b."""
     na, nb = left.order, right.order
-    if na * nb > MAX_GROUP_ORDER:
-        raise ValidationError(f"product order {na * nb} exceeds cap "
-                              f"{MAX_GROUP_ORDER}")
+    check_order(na * nb, "product")
     table = (left.table[:, None, :, None].astype(np.int64) * nb
              + right.table[None, :, None, :]).reshape(na * nb, na * nb)
     labels = tuple(f"({la},{lb})" for la in left.labels for lb in right.labels)

@@ -1,11 +1,21 @@
 """Subgroup lattice of a finite group, organized by conjugacy class.
 
-Enumeration uses closure-extension: starting from the trivial subgroup,
-every class representative is extended by every element of prime-power
-order.  Each element decomposes into commuting prime-power components, so
-every subgroup is generated by its prime-power elements and the sweep is
-complete.  Whole conjugacy orbits are registered at once, so extensions
-only ever run on class representatives.
+Enumeration uses closure-extension (cyclic extension; Pfeiffer, "The
+subgroups of M24", Experiment. Math. 1997): starting from the trivial
+subgroup, every class representative H is extended by elements x of
+prime-power order outside H.  Each element decomposes into commuting
+prime-power components, so every subgroup is generated by its
+prime-power elements and the sweep is complete.  Whole conjugacy orbits
+are registered at once, so extensions only ever run on class
+representatives.
+
+Pruning: for n in the normalizer N(H) and h, h' in H, n H n^-1 = H gives
+<H, n h x h' n^-1> = n <H, x> n^-1.  So once <H, x> is registered, the
+N(H)-orbit of the double coset H x H is dropped from the candidates: each
+of its elements only leads to a class already registered.  The set of
+classes is that of the full sweep, and representatives (the conjugate
+with the least sorted id tuple) and the canonical order below do not
+depend on discovery order, so the output is unchanged.
 
 Classes are sorted canonically by (order, element-order multiset, name)
 with the sorted id tuple of the representative as a final deterministic
@@ -36,15 +46,6 @@ def _is_prime_power(k: int) -> bool:
                 k //= p
             return k == 1
     return False
-
-
-def _closure(table: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    cur = np.unique(seed)
-    while True:
-        nxt = np.unique(table[np.ix_(cur, cur)])
-        if nxt.size == cur.size:
-            return nxt.astype(np.int32)
-        cur = nxt
 
 
 @dataclass(eq=False)
@@ -82,92 +83,85 @@ class SubgroupPoset:
         g = self.group
         n = g.order
         table = g.table
-        conj = np.empty((n, n), dtype=np.int32)
-        for h in range(n):
-            conj[h] = g.conjugation_perm(h)
-
+        conj = table[table, g.inverse[:, None]]      # conj[h, x] = h x h^-1
         el_orders = g.element_orders()
-        ppow = [x for x in range(1, n) if _is_prime_power(int(el_orders[x]))]
+        ppow = np.array([_is_prime_power(int(k)) for k in el_orders])
 
         key_to_raw: dict[bytes, int] = {}
-        raw_classes: list[tuple[np.ndarray, np.ndarray]] = []   # (rep ids, orbit rows)
+        raw_classes: list[tuple[np.ndarray, np.ndarray]] = []   # (orbit rows, masks)
         worklist: list[np.ndarray] = []
 
         def register(ids: np.ndarray) -> None:
-            key = ids.tobytes()
-            if key in key_to_raw:
+            if ids.tobytes() in key_to_raw:
                 return
-            rows = np.sort(conj[:, ids], axis=1)
-            orbit = np.unique(rows, axis=0).astype(np.int32)
-            idx = len(raw_classes)
+            # distinct conjugates as packed masks; descending masks = ascending id rows
+            member = np.zeros((n, n), dtype=bool)
+            member[np.arange(n)[:, None], conj[:, ids]] = True
+            packed = np.packbits(member, axis=1)
+            distinct = np.unique(packed.view(f"V{packed.shape[1]}").ravel())
+            rows = distinct.view(np.uint8).reshape(-1, packed.shape[1])
+            masks = np.flipud(np.unpackbits(rows, axis=1, count=n)).astype(bool)
+            orbit = np.nonzero(masks)[1].astype(np.int32).reshape(-1, ids.size)
             for row in orbit:
-                key_to_raw[row.tobytes()] = idx
-            rep = orbit[0]
-            raw_classes.append((rep, orbit))
-            worklist.append(rep)
+                key_to_raw[row.tobytes()] = len(raw_classes)
+            raw_classes.append((orbit, masks))
+            worklist.append(orbit[0])
 
         register(np.array([0], dtype=np.int32))
+        coset = np.empty(n, dtype=bool)
         while worklist:
             sub = worklist.pop()
             inside = np.zeros(n, dtype=bool)
             inside[sub] = True
-            for x in ppow:
-                if inside[x]:
-                    continue
-                register(_closure(table, np.append(sub, np.int32(x))))
+            normalizer = np.flatnonzero(inside[conj[:, sub]].all(axis=1))
+            todo = ppow & ~inside
+            while (candidates := np.flatnonzero(todo)).size:
+                x = candidates[0]
+                register(g.subgroup_generated(np.append(sub, x)))
+                # each y in N (H x H) N^-1 generates a conjugate of <H, x>
+                coset[:] = False
+                coset[table[sub[:, None], table[x, sub]]] = True
+                todo[conj[np.ix_(normalizer, np.flatnonzero(coset))]] = False
 
-        # canonical ordering
-        def sort_key(item):
-            rep, _ = item
-            multiset = tuple(sorted(int(el_orders[i]) for i in rep))
-            base = naming.class_base_name(g, rep)
-            return (rep.size, multiset, base, tuple(rep))
-
-        ordered = sorted(raw_classes, key=sort_key)
-        base_names = [naming.class_base_name(g, rep) for rep, _ in ordered]
+        # canonical ordering; each class is named once
+        keys = [(orbit.shape[1], tuple(sorted(el_orders[orbit[0]].tolist())),
+                 naming.class_base_name(g, orbit[0]), tuple(orbit[0]))
+                for orbit, _ in raw_classes]
+        ordered = sorted(range(len(raw_classes)), key=keys.__getitem__)
+        position = np.argsort(ordered)
+        self._key_to_class = {key: int(position[raw]) for key, raw in key_to_raw.items()}
         counts: dict[str, int] = {}
-        final_names = []
-        for b in base_names:
-            counts[b] = counts.get(b, 0) + 1
-            final_names.append(b if counts[b] == 1 else f"{b}#{counts[b]}")
-
-        self._key_to_class: dict[bytes, int] = {}
-        for idx, ((rep, orbit), name) in enumerate(zip(ordered, final_names)):
-            masks = np.zeros((orbit.shape[0], n), dtype=bool)
-            for r, row in enumerate(orbit):
-                masks[r, row] = True
-            mask = np.zeros(n, dtype=bool)
-            mask[rep] = True
+        for idx, raw in enumerate(ordered):
+            orbit, masks = raw_classes[raw]
+            size, multiset, base, _ = keys[raw]
+            counts[base] = counts.get(base, 0) + 1
             k = orbit.shape[0]
-            size = rep.size
             if (n // k) % size != 0:
                 raise ValidationError("normalizer order not divisible by subgroup order")
-            cls = SubgroupClass(
+            self.classes.append(SubgroupClass(
                 index=idx,
-                ids=rep,
-                mask=mask,
+                ids=orbit[0].copy(),
+                mask=masks[0],
                 orbit_masks=masks,
                 order=size,
                 n_conjugates=k,
                 weyl_order=(n // k) // size,
-                element_order_multiset=tuple(sorted(int(el_orders[i]) for i in rep)),
-                name=name,
-            )
-            self.classes.append(cls)
-            for row in orbit:
-                self._key_to_class[row.tobytes()] = idx
+                element_order_multiset=multiset,
+                name=base if counts[base] == 1 else f"{base}#{counts[base]}",
+            ))
 
         self._compute_tables()
 
     def _compute_tables(self) -> None:
         c = len(self.classes)
+        reps = np.array([cls.mask for cls in self.classes], dtype=np.int16)
+        orders = np.array([cls.order for cls in self.classes])
         self.n_table = np.zeros((c, c), dtype=np.int64)
-        for i, small in enumerate(self.classes):
-            for j, large in enumerate(self.classes):
-                if large.order % small.order != 0:
-                    continue
-                contains = self.classes[j].orbit_masks[:, small.ids].all(axis=1)
-                self.n_table[i, j] = int(contains.sum())
+        for j, large in enumerate(self.classes):
+            # hits[r, s]: elements of rep small[s] in conjugate r of class j
+            small = np.flatnonzero(large.order % orders == 0)
+            hits = large.orbit_masks.astype(np.int16) @ reps[small].T
+            self.n_table[small, j] = (hits == orders[small]).sum(axis=0)
         self.leq = self.n_table > 0
         strict = self.leq & ~np.eye(c, dtype=bool)
         self.covers = strict & ~(strict @ strict)

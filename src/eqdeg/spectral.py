@@ -31,9 +31,9 @@ import numpy as np
 from .burnside import BurnsideElement
 from .degrees import degree_for_character
 from .errors import InputError, ValidationError
-from .groups import (FiniteGroup, PermutationAction, dihedral_rotation_action,
-                     direct_product, make_dihedral, make_permutation_group,
-                     make_sign_group)
+from .groups import (FiniteGroup, PermutationAction, check_order,
+                     dihedral_rotation_action, direct_product, make_dihedral,
+                     make_permutation_group, make_sign_group)
 from .lattice import SubgroupPoset, subgroup_poset
 from .reps import (DEFAULT_SEED, GammaIrrep, MinusIrrep, fold_frequency,
                    gamma_irreps_in, isotypic_multiplicity,
@@ -113,9 +113,11 @@ class SymmetryContext:
 
 def build_symmetry_context(config: ProblemConfig) -> SymmetryContext:
     validate_problem(config)
+    spec = config.gamma
+    check_order(4 * config.m * (2 * spec.n if spec.type == "dihedral" else 1),
+                "group")
     base = direct_product(make_dihedral(config.m), make_sign_group(),
                           name=f"D{config.m} x Z2")
-    spec = config.gamma
     if spec.type == "trivial":
         group: FiniteGroup = base
         action: PermutationAction | None = None

@@ -11,6 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
+from eqdeg import naming
 from eqdeg.groups import FiniteGroup
 
 
@@ -103,6 +104,83 @@ def burnside_product_by_orbit_count(group: FiniteGroup,
                   key=lambda s: sorted(s))
         result[rep] = result.get(rep, 0) + 1
     return result
+
+
+def unpruned_lattice(group: FiniteGroup) -> tuple[list[tuple], np.ndarray]:
+    """Subgroup classes by the full closure-extension sweep, no pruning.
+
+    Every class representative is extended by every element of prime-power
+    order outside it, and each extension is closed with np.unique over the
+    whole product block.  Returns the classes in canonical order, each as
+    (name, representative ids, orbit rows, n_conjugates, Weyl order), and
+    n_table counted one class pair at a time.
+    """
+    n = group.order
+    table = group.table
+    conj = np.array([table[table[h, :], group.inverse[h]] for h in range(n)])
+    el_orders = group.element_orders()
+    ppow = [x for x in range(1, n) if _is_prime_power(int(el_orders[x]))]
+
+    def close(seed: np.ndarray) -> np.ndarray:
+        cur = np.unique(seed)
+        while True:
+            nxt = np.unique(table[np.ix_(cur, cur)])
+            if nxt.size == cur.size:
+                return nxt.astype(np.int32)
+            cur = nxt
+
+    known: set[bytes] = set()
+    orbits: list[np.ndarray] = []
+    worklist: list[np.ndarray] = []
+
+    def register(ids: np.ndarray) -> None:
+        if ids.tobytes() in known:
+            return
+        orbit = np.unique(np.sort(conj[:, ids], axis=1), axis=0).astype(np.int32)
+        known.update(row.tobytes() for row in orbit)
+        orbits.append(orbit)
+        worklist.append(orbit[0])
+
+    register(np.array([0], dtype=np.int32))
+    while worklist:
+        sub = worklist.pop()
+        for x in ppow:
+            if x not in sub:
+                register(close(np.append(sub, np.int32(x))))
+
+    def sort_key(orbit):
+        rep = orbit[0]
+        return (rep.size, tuple(sorted(int(el_orders[i]) for i in rep)),
+                naming.class_base_name(group, rep), tuple(rep))
+
+    orbits.sort(key=sort_key)
+    counts: dict[str, int] = {}
+    classes = []
+    for orbit in orbits:
+        base = naming.class_base_name(group, orbit[0])
+        counts[base] = counts.get(base, 0) + 1
+        name = base if counts[base] == 1 else f"{base}#{counts[base]}"
+        k, size = orbit.shape
+        classes.append((name, orbit[0], orbit, k, n // k // size))
+
+    masks = []
+    for orbit in orbits:
+        mask = np.zeros((orbit.shape[0], n), dtype=bool)
+        for r, row in enumerate(orbit):
+            mask[r, row] = True
+        masks.append(mask)
+    c = len(orbits)
+    n_table = np.zeros((c, c), dtype=np.int64)
+    for i, small in enumerate(orbits):
+        for j, large in enumerate(orbits):
+            if large.shape[1] % small.shape[1] == 0:
+                n_table[i, j] = int(masks[j][:, small[0]].all(axis=1).sum())
+    return classes, n_table
+
+
+def _is_prime_power(k: int) -> bool:
+    factors = [p for p in range(2, k + 1) if k % p == 0]
+    return bool(factors) and all(p % factors[0] == 0 for p in factors)
 
 
 def _cosets(group: FiniteGroup, ids: frozenset[int]) -> list[frozenset[int]]:

@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -93,6 +94,22 @@ def test_exit_code_group_order_cap(tmp_path, capsys):
     code, _out, err = run_cli(capsys, "existence", str(cfg))
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("raw", [
+    {"m": 10**6, "k": 1, "A": [[-1]]},
+    {"m": 10**6, "k": 3, "gamma": {"type": "dihedral", "n": 3},
+     "A": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]},
+])
+def test_order_cap_is_checked_before_any_table(tmp_path, capsys, raw):
+    # a D_m table for m = 10**6 would take gigabytes
+    cfg = tmp_path / "vast.json"
+    cfg.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    code, _out, err = run_cli(capsys, "existence", str(cfg))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "exceeds cap" in err
 
 
 def test_burnside_mul_argument_errors(capsys):

@@ -136,6 +136,14 @@ def test_product_order_cap():
         direct_product(make_cyclic(30), make_cyclic(30))
 
 
+def test_constructors_check_the_cap_before_building():
+    assert make_dihedral(200).order == 400
+    with pytest.raises(ValidationError, match="exceeds cap"):
+        make_dihedral(201)
+    with pytest.raises(ValidationError, match="exceeds cap"):
+        make_cyclic(401)
+
+
 def test_product_multiplication_componentwise():
     a, b = make_dihedral(3), make_cyclic(4)
     p = direct_product(a, b)

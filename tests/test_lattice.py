@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqdeg.errors import ValidationError
-from eqdeg.groups import direct_product, make_cyclic, make_dihedral, make_sign_group
+from eqdeg.groups import (direct_product, make_cyclic, make_dihedral,
+                          make_permutation_group, make_sign_group)
 from eqdeg.lattice import SubgroupPoset, enumerate_subgroups, subgroup_poset
 
 from . import oracles
@@ -42,6 +43,27 @@ def test_enumeration_matches_brute_force(group, max_gens):
     brute = oracles.brute_force_subgroups(group, max_gens=max_gens)
     mine = {frozenset(int(x) for x in s) for s in enumerate_subgroups(group)}
     assert mine == brute
+
+
+def _base(m):
+    return direct_product(make_dihedral(m), make_sign_group())
+
+
+@pytest.mark.parametrize("group", [
+    direct_product(make_dihedral(3), _base(3)),
+    direct_product(make_dihedral(3), _base(4)),
+    _base(30),
+    direct_product(make_permutation_group(4, [[1, 2, 3, 0]])[0], _base(2)),
+], ids=lambda g: f"{g.name}:{g.order}")
+def test_pruned_sweep_matches_unpruned_oracle(group):
+    poset = SubgroupPoset(group)
+    classes, n_table = oracles.unpruned_lattice(group)
+    assert poset.names == [name for name, *_ in classes]
+    for cls, (_name, rep, orbit, k, weyl) in zip(poset.classes, classes):
+        assert np.array_equal(cls.ids, rep)
+        assert np.array_equal(cls.orbit_masks.nonzero()[1].reshape(orbit.shape), orbit)
+        assert (cls.n_conjugates, cls.weyl_order) == (k, weyl)
+    assert np.array_equal(poset.n_table, n_table)
 
 
 def test_d3_classes():
