@@ -4,7 +4,7 @@ from .bifurcation import (BifurcationInvariant, BifurcationReport,
                           CriticalPoint, bifurcation_report, critical_values,
                           local_invariant)
 from .burnside import BurnsideElement
-from .degrees import basic_degree, closed_form_basic_degree, degree_for_character
+from .degrees import basic_degree, degree_for_character
 from .errors import EqdegError, InputError, ValidationError
 from .groups import (FiniteGroup, PermutationAction, dihedral_rotation_action,
                      direct_product, make_cyclic, make_dihedral,
@@ -15,9 +15,8 @@ from .reps import (fold_frequency, gamma_irreps_in, maximal_orbit_types,
 from .spectral import (DegreeReport, GammaSpec, ProblemConfig, SolutionGuarantee,
                        SpectralTable, SymmetryContext, build_symmetry_context,
                        check_nondegeneracy, count_beta_eta_rho,
-                       eigenspace_degree, existence_degree, interpret, j_max,
-                       lambda_value, matrix_spectrum, parity_predictions,
-                       spectral_table)
+                       existence_degree, interpret, j_max, lambda_value,
+                       matrix_spectrum, parity_predictions, spectral_table)
 
 __version__ = "0.1.0"
 
@@ -27,10 +26,10 @@ __all__ = [
     "InputError", "PermutationAction", "ProblemConfig", "SolutionGuarantee",
     "SpectralTable", "SubgroupPoset", "SymmetryContext", "ValidationError",
     "basic_degree", "bifurcation_report", "build_symmetry_context",
-    "check_nondegeneracy", "closed_form_basic_degree", "count_beta_eta_rho",
-    "critical_values", "degree_for_character", "dihedral_rotation_action",
-    "direct_product", "eigenspace_degree", "existence_degree",
-    "fold_frequency", "gamma_irreps_in", "interpret", "j_max", "lambda_value",
+    "check_nondegeneracy", "count_beta_eta_rho", "critical_values",
+    "degree_for_character", "dihedral_rotation_action", "direct_product",
+    "existence_degree", "fold_frequency", "gamma_irreps_in", "interpret",
+    "j_max", "lambda_value",
     "local_invariant", "make_cyclic", "make_dihedral",
     "make_permutation_group", "make_sign_group", "make_trivial",
     "matrix_spectrum", "maximal_orbit_types", "minus_irrep",

@@ -14,8 +14,15 @@ the Burnside-ring jump of the degree across alpha0,
 
 where prefix multiplies the degrees of all blocks crossed strictly below
 alpha0 and block(alpha0) collects the blocks crossing at alpha0 itself.
-The prefix runs over every earlier critical value, not just those inside
-a reporting window, so each omega depends only on data at and before its
+In mark coordinates this is one solve (burnside.py): with P and B the
+vectors dim V^H of the prefix and crossing blocks,
+
+    mark_H(omega) = (-1)^{P_H} (1 - (-1)^{B_H}).
+
+Fixed dimensions add over blocks, so one walk over the critical points in
+increasing order keeps P as a running sum, adding each block once.  The
+prefix runs over every earlier critical value, not just those inside a
+reporting window, so each omega depends only on data at and before its
 own critical point.  A nonzero omega forces a branch of nontrivial
 solutions bifurcating from (alpha0, 0), with symmetries at least the
 classes carrying nonzero coefficients.
@@ -29,8 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from .burnside import BurnsideElement
-from .degrees import degree_for_character
 from .errors import ValidationError
+from .reps import fixed_dims
 from .spectral import (EigenvalueEntry, ProblemConfig, SpectralTable,
                        SymmetryContext, build_symmetry_context,
                        eigenspace_character, matrix_spectrum)
@@ -116,8 +123,8 @@ def _merge(ctx: SymmetryContext,
                 label = ctx.minus(i, l).label
                 mults[label] = mults.get(label, 0) + gmult
     simple = len(group) == 1 and group[0][2].mult == 1
-    exacts = [ex for *_xs, ex in group]
-    exact = exacts[0] if len(group) == 1 else None
+    exacts = {ex for *_xs, ex in group}
+    exact = exacts.pop() if len(exacts) == 1 else None
     return CriticalPoint(
         alpha=float(np.mean([a for a, *_rest in group])),
         contributions=tuple((j, entry.mu) for _a, j, entry, _e in group),
@@ -126,40 +133,47 @@ def _merge(ctx: SymmetryContext,
         alpha_exact=exact)
 
 
-def _prefix_character(ctx: SymmetryContext, table: SpectralTable,
-                      alpha0: float, tol: float) -> np.ndarray:
-    """Sum of block characters crossed strictly below alpha0."""
-    m = ctx.m
-    total = np.zeros(ctx.group.order)
-    for e in table.eigenvalues:
-        j = 0
-        while e.mu + j * j / (m * m) < alpha0 - tol:
-            total += eigenspace_character(ctx, j, e)
-            j += 1
-    return total
-
-
 def local_invariant(ctx: SymmetryContext, table: SpectralTable,
                     point: CriticalPoint, tol: float | None = None,
                     strict: bool = False) -> BifurcationInvariant:
-    if strict and len(point.contributions) > 1:
-        raise ValidationError("ambiguous crossing: several (j, mu) pairs "
-                              f"coincide at alpha={point.alpha!r}")
+    return _walk(ctx, table, [point], tol, strict)[0]
+
+
+def _walk(ctx: SymmetryContext, table: SpectralTable,
+          points: list[CriticalPoint], tol: float | None = None,
+          strict: bool = False) -> list[BifurcationInvariant]:
+    """Invariants at points in increasing alpha, with one running prefix.
+
+    next_j[t] is the first frequency over eigenvalue t not yet in prefix.
+    """
     if tol is None:
         tol = ctx.config.tolerance
-    prefix = degree_for_character(
-        ctx.poset, _prefix_character(ctx, table, point.alpha, tol))
-    block_char = np.zeros(ctx.group.order)
-    for j, mu in point.contributions:
-        block_char += eigenspace_character(ctx, j, table.entry(mu))
-    block = degree_for_character(ctx.poset, block_char)
-    omega = prefix * (BurnsideElement.unit(ctx.poset) - block)
-    odd = point.simple and all(v % 2 == 1
-                               for _k, v in point.crossing_multiplicities)
-    return BifurcationInvariant(point=point, omega=omega,
-                                nonzero=bool(omega.support()),
-                                odd_crossing=odd,
-                                branch_types=omega.to_pairs())
+    m = ctx.m
+    prefix = np.zeros(len(ctx.poset), dtype=np.int64)
+    next_j = [0] * len(table.eigenvalues)
+    out = []
+    for point in points:
+        if strict and len(point.contributions) > 1:
+            raise ValidationError("ambiguous crossing: several (j, mu) pairs "
+                                  f"coincide at alpha={point.alpha!r}")
+        for t, e in enumerate(table.eigenvalues):
+            j = next_j[t]
+            while e.mu + j * j / (m * m) < point.alpha - tol:
+                prefix += fixed_dims(ctx.poset, eigenspace_character(ctx, j, e))
+                j += 1
+            next_j[t] = j
+        block = fixed_dims(ctx.poset, sum(eigenspace_character(ctx, j, table.entry(mu))
+                                          for j, mu in point.contributions))
+        # marks of prefix_degree * ((G) - block_degree)
+        omega = BurnsideElement.from_marks(
+            ctx.poset, (1 - 2 * (prefix % 2)) * (2 * (block % 2)))
+        odd = point.simple and all(v % 2 == 1
+                                   for _k, v in point.crossing_multiplicities)
+        out.append(BifurcationInvariant(point=point, omega=omega,
+                                        nonzero=bool(omega.support()),
+                                        odd_crossing=odd,
+                                        branch_types=omega.to_pairs()))
+    return out
 
 
 def bifurcation_report(config: ProblemConfig,
@@ -178,7 +192,7 @@ def bifurcation_report(config: ProblemConfig,
     if window is None:
         window = default_window(table)
     points = critical_values(ctx, table, window)
-    invs = [local_invariant(ctx, table, p) for p in points]
+    invs = _walk(ctx, table, points)
     for inv in invs:
         if inv.odd_crossing and not inv.nonzero:
             raise ValidationError("odd-crossing shortcut contradicts a zero "

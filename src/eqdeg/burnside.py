@@ -1,21 +1,26 @@
 """Burnside ring of a finite group over its subgroup-class lattice.
 
 Elements are integer combinations of subgroup conjugacy classes; the class
-with index i stands for the transitive G-set G/H_i.  Products of basis
-elements are computed through fixed-point counts (marks): the mark of L on
-G/H is n(L,H) |W(H)|, marks are ring homomorphisms, and solving top-down
-for the product coefficients gives
+with index i stands for the transitive G-set G/H_i.  The exact core is
+the mark map.  The mark of a class (L) on an element x counts the points
+of x fixed by L:
 
-    m_L = (mark_L(G/H) mark_L(G/K) - sum_{M > L} m_M n(L,M) |W(M)|) / |W(L)|
+    mark_L(x) = sum_H x_H n(L, H) |W(H)|,
 
-which is always an exact integer division.  multiply_oracle recomputes a
-basis product by literally decomposing G/H x G/K into orbits; tests hold
-the two routes equal.
+read from the lattice's n_table and Weyl orders.  Marks are ring
+homomorphisms into the ghost ring Z^c (tom Dieck, Transformation Groups
+and Representation Theory, LNM 766, 1979), so a product multiplies marks
+pointwise.  n(L, H) vanishes unless (L) <= (H), and n(L, L) = 1, so one
+top-down solve recovers the coefficients from any mark vector:
+
+    x_L = (mark_L - sum_{H > L} x_H n(L, H) |W(H)|) / |W(L)|.
+
+The division is exact on the image of the mark map; from_marks rejects
+any other vector.  Products, degrees (degrees.py) and bifurcation jumps
+(bifurcation.py) all go through this one solve.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +58,34 @@ class BurnsideElement:
             raise ValidationError(f"no subgroup class with index {index}")
         return cls(poset, {index: 1})
 
+    # -- mark coordinates ----------------------------------------------------
+
+    def marks(self) -> list[int]:
+        """mark_L(x) = sum_H x_H n(L, H) |W(H)| for every class L, in order."""
+        out = [0] * len(self.poset)
+        for h, x in self.coeffs.items():
+            _scatter(out, self.poset, h, x * self.poset.classes[h].weyl_order)
+        return out
+
+    @classmethod
+    def from_marks(cls, poset: SubgroupPoset, marks) -> "BurnsideElement":
+        """The element with these marks, solved top-down over the classes."""
+        rest = [int(v) for v in marks]
+        if len(rest) != len(poset):
+            raise ValidationError("mark vector length does not match the lattice")
+        coeffs: dict[int, int] = {}
+        for l in range(len(rest) - 1, -1, -1):
+            if not rest[l]:
+                continue
+            q, r = divmod(rest[l], poset.classes[l].weyl_order)
+            if r:
+                raise ValidationError("marks are not those of a Burnside element: "
+                                      "non-integer coefficient at class "
+                                      f"{poset.classes[l].name}")
+            coeffs[l] = q
+            _scatter(rest, poset, l, -rest[l])
+        return cls(poset, coeffs)
+
     # -- ring structure ------------------------------------------------------
 
     def _check(self, other: "BurnsideElement") -> None:
@@ -77,28 +110,16 @@ class BurnsideElement:
             return BurnsideElement(self.poset,
                                    {i: c * other for i, c in self.coeffs.items()})
         self._check(other)
-        out: dict[int, int] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                for l, m in _basis_product(self.poset, i, j).items():
-                    out[l] = out.get(l, 0) + a * b * m
-        return BurnsideElement(self.poset, out)
+        return BurnsideElement.from_marks(
+            self.poset, [a * b for a, b in zip(self.marks(), other.marks())])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BurnsideElement":
         if n < 0:
             raise ValidationError("negative powers are not defined")
-        result = BurnsideElement.unit(self.poset)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        return BurnsideElement.from_marks(self.poset,
+                                          [v ** n for v in self.marks()])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BurnsideElement)
@@ -144,70 +165,9 @@ class BurnsideElement:
         return f"BurnsideElement({self})"
 
 
-@lru_cache(maxsize=None)
-def _basis_product_cached(poset: SubgroupPoset, i: int, j: int) -> tuple[tuple[int, int], ...]:
-    n_table = poset.n_table
-    weyl = np.array([c.weyl_order for c in poset.classes], dtype=np.int64)
-    c = len(poset)
-    target = n_table[:, i] * weyl[i] * n_table[:, j] * weyl[j]   # marks of the product
-    coeffs: dict[int, int] = {}
-    for l in range(c - 1, -1, -1):
-        acc = int(target[l])
-        for m, cm in coeffs.items():
-            if n_table[l, m]:
-                acc -= cm * int(n_table[l, m]) * int(weyl[m])
-        if acc == 0:
-            continue
-        q, r = divmod(acc, int(weyl[l]))
-        if r != 0:
-            raise ValidationError("Burnside recurrence produced a non-integer "
-                                  f"coefficient at class {l}")
-        coeffs[l] = q
-    return tuple(sorted(coeffs.items()))
-
-
-def _basis_product(poset: SubgroupPoset, i: int, j: int) -> dict[int, int]:
-    if i > j:
-        i, j = j, i
-    return dict(_basis_product_cached(poset, i, j))
-
-
-def multiply_oracle(poset: SubgroupPoset, i: int, j: int) -> BurnsideElement:
-    """Basis product [G/H_i][G/H_j] by explicit orbit decomposition.
-
-    Independent of the mark recurrence: builds both coset actions, walks
-    the orbits of the product action and classifies each stabilizer.
-    """
-    act_h, reps_h = _coset_action(poset, i)
-    act_k, reps_k = _coset_action(poset, j)
-    n = poset.group.order
-    nh, nk = act_h.shape[1], act_k.shape[1]
-    seen = np.zeros((nh, nk), dtype=bool)
-    coeffs: dict[int, int] = {}
-    for a in range(nh):
-        for b in range(nk):
-            if seen[a, b]:
-                continue
-            stab_mask = (act_h[:, a] == a) & (act_k[:, b] == b)
-            stab = np.nonzero(stab_mask)[0].astype(np.int32)
-            cls = poset.index_of_subgroup(stab)
-            coeffs[cls] = coeffs.get(cls, 0) + 1
-            seen[act_h[:, a], act_k[:, b]] = True
-    return BurnsideElement(poset, coeffs)
-
-
-def _coset_action(poset: SubgroupPoset, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left action of G on G/H_i: (action[g, c] = coset index of g * rep_c)."""
-    g = poset.group
-    h_ids = poset.classes[i].ids
-    coset_id = np.full(g.order, -1, dtype=np.int32)
-    reps = []
-    for x in range(g.order):
-        if coset_id[x] >= 0:
-            continue
-        members = g.table[x, h_ids]
-        coset_id[members] = len(reps)
-        reps.append(x)
-    reps = np.array(reps, dtype=np.int32)
-    action = coset_id[g.table[:, reps]]
-    return action, reps
+def _scatter(out: list[int], poset: SubgroupPoset, h: int, scale: int) -> None:
+    """out[L] += scale * n(L, H) for every class L, in python ints."""
+    col = poset.n_table[:, h]
+    rows = np.flatnonzero(col)
+    for l, n in zip(rows.tolist(), col[rows].tolist()):
+        out[l] += scale * n

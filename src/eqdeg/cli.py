@@ -41,32 +41,20 @@ def _f12(x) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _num(value, where: str) -> float:
-    if isinstance(value, bool):
-        raise InputError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: cannot parse {value!r} "
-                             "as a rational number") from exc
-    raise InputError(f"{where}: expected a number, got {type(value).__name__}")
-
-
 def _exact(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: cannot parse {value!r} "
-                             "as a rational number") from exc
-    if isinstance(value, float):
-        return Fraction(value)
-    raise InputError(f"{where}: expected a number, got {type(value).__name__}")
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise InputError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        exact = Fraction(value)
+        float(exact)                  # finite and within the float range
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"{where}: cannot parse {value!r} as a finite "
+                         "rational number") from exc
+    return exact
+
+
+def _num(value, where: str) -> float:
+    return float(_exact(value, where))
 
 
 def _int(value, where: str) -> int:

@@ -1,29 +1,21 @@
 """Equivariant Brouwer degrees valued in the Burnside ring.
 
 For the odd gradient maps arising from the variational setup, the degree
-on the unit ball of an invariant space V is pinned down by its marks: the
-fixed-point degree over a subgroup class (H) equals (-1)^{dim V^H}.
-Coefficients follow by the same top-down exact-division elimination used
-for Burnside multiplication.  Degrees are therefore additive under direct
-sums of representations: summing characters multiplies degrees.
-
-Basic degrees of the sign-twisted dihedral irreps also have closed forms
-written directly in named subgroup classes of D_m x Z2; these serve as an
-independent cross-check of the recurrence.
+of -id on the unit ball of an invariant space V is pinned down by its
+marks: the fixed-point degree over a subgroup class (H) is
+(-1)^{dim V^H}.  So a degree is the one mark solve of burnside.py applied
+to that sign vector.  Fixed dimensions add over direct sums, so summing
+characters multiplies degrees.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .burnside import BurnsideElement
 from .errors import ValidationError
 from .lattice import SubgroupPoset
-from .reps import MinusIrrep, fixed_point_dim
-
-_degree_cache: dict[tuple[SubgroupPoset, bytes], BurnsideElement] = {}
+from .reps import MinusIrrep, fixed_dims
 
 
 def degree_for_character(poset: SubgroupPoset,
@@ -36,70 +28,9 @@ def degree_for_character(poset: SubgroupPoset,
     char = np.asarray(character, dtype=float)
     if char.shape != (poset.group.order,):
         raise ValidationError("character length does not match the group order")
-    key = (poset, np.round(char, 9).tobytes())
-    hit = _degree_cache.get(key)
-    if hit is not None:
-        return hit
-
-    n_table = poset.n_table
-    weyl = np.array([c.weyl_order for c in poset.classes], dtype=np.int64)
-    marks = [(-1) ** fixed_point_dim(char, c.ids) for c in poset.classes]
-    coeffs: dict[int, int] = {}
-    for l in range(len(poset) - 1, -1, -1):
-        acc = int(marks[l])
-        for m_idx, cm in coeffs.items():
-            if n_table[l, m_idx]:
-                acc -= cm * int(n_table[l, m_idx]) * int(weyl[m_idx])
-        if acc == 0:
-            continue
-        q, r = divmod(acc, int(weyl[l]))
-        if r != 0:
-            raise ValidationError("degree recurrence produced a non-integer "
-                                  f"coefficient at class {poset.classes[l].name}")
-        coeffs[l] = q
-    out = BurnsideElement(poset, coeffs)
-    _degree_cache[key] = out
-    return out
+    return BurnsideElement.from_marks(poset, 1 - 2 * (fixed_dims(poset, char) % 2))
 
 
 def basic_degree(poset: SubgroupPoset, irrep: MinusIrrep) -> BurnsideElement:
     """Degree of -id on the single irrep; an involution of the unit group."""
     return degree_for_character(poset, irrep.character)
-
-
-def closed_form_basic_degree(poset: SubgroupPoset, m: int,
-                             index: int) -> BurnsideElement:
-    """Basic degree of the sign-twisted dihedral irrep, named classes only.
-
-    Valid over the lattice of D_m x Z2.  Needs no mark computation, so it
-    cross-checks both the recurrence and the class naming.  The planar
-    cases branch on p = m / gcd(m, index): the isotropy pattern of a
-    planar mode depends only on whether p is odd, twice odd, or divisible
-    by four.
-    """
-    if poset.group.order != 4 * m:
-        raise ValidationError(f"lattice does not belong to D_{m} x Z2")
-    s = (m + 1) // 2
-    if index == 0:
-        sub = {f"D{m}": -1}
-    elif index == s:
-        sub = {f"D{m}^z": -1}
-    elif m % 2 == 0 and index == s + 1:
-        sub = {f"D{m}^d": -1}
-    elif m % 2 == 0 and index == s + 2:
-        sub = {f"D{m}^dh": -1}
-    elif 0 < index < m / 2:
-        h = math.gcd(m, index)
-        p = m // h
-        if p % 2 == 1:
-            sub = {f"D{h}": -1, f"D{h}^z": -1, f"Z{h}": 1}
-        elif p % 4 == 2:
-            sub = {f"D{2 * h}^d": -1, f"D{2 * h}^dh": -1, f"Z{2 * h}^d": 1}
-        else:
-            sub = {f"D{2 * h}^d": -1, f"~D{2 * h}^d": -1, f"Z{2 * h}^d": 1}
-    else:
-        raise ValidationError(f"no dihedral irrep with index {index} for m={m}")
-    coeffs = {poset.top_index: 1}
-    for name, c in sub.items():
-        coeffs[poset.index_by_name(name)] = c
-    return BurnsideElement(poset, coeffs)

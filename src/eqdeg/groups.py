@@ -116,14 +116,6 @@ class FiniteGroup:
         return np.array([self.element_order(g) for g in range(self.order)],
                         dtype=np.int32)
 
-    def conjugate(self, h: int, g: int) -> int:
-        """h g h^-1."""
-        return int(self.table[self.table[h, g], self.inverse[h]])
-
-    def conjugates_of(self, g: int) -> np.ndarray:
-        """All h g h^-1 as h runs over the group (with repetitions)."""
-        return self.table[self.table[:, g], self.inverse]
-
     def subgroup_generated(self, gens: Sequence[int]) -> np.ndarray:
         """Sorted ids of the subgroup generated by gens, by squaring a mask."""
         mask = np.zeros(self.order, dtype=bool)
@@ -136,18 +128,6 @@ class FiniteGroup:
             if nxt.size == cur.size:
                 return nxt.astype(np.int32)
             cur = nxt
-
-    def element_conjugacy_classes(self) -> list[np.ndarray]:
-        """Conjugacy classes of elements, each sorted, ordered by least member."""
-        seen = np.zeros(self.order, dtype=bool)
-        classes = []
-        for g in range(self.order):
-            if seen[g]:
-                continue
-            orbit = np.unique(self.conjugates_of(g))
-            seen[orbit] = True
-            classes.append(orbit)
-        return classes
 
     def validate(self) -> None:
         """Full axiom check: Latin square, identity, inverses, associativity."""
@@ -362,15 +342,3 @@ def product_components(group: FiniteGroup, g: int) -> tuple[int, int]:
         raise ValidationError("product_components needs a product group")
     nb = group.structure.right.order
     return g // nb, g % nb
-
-
-def product_embed_left(group: FiniteGroup, a: int) -> int:
-    if not isinstance(group.structure, Product):
-        raise ValidationError("product_embed_left needs a product group")
-    return a * group.structure.right.order
-
-
-def product_embed_right(group: FiniteGroup, b: int) -> int:
-    if not isinstance(group.structure, Product):
-        raise ValidationError("product_embed_right needs a product group")
-    return b

@@ -52,7 +52,6 @@ def _is_prime_power(k: int) -> bool:
 class SubgroupClass:
     index: int
     ids: np.ndarray               # sorted element ids of the representative
-    mask: np.ndarray              # boolean membership of the representative
     orbit_masks: np.ndarray       # (n_conjugates, group order) boolean
     order: int
     n_conjugates: int
@@ -69,7 +68,8 @@ class SubgroupPoset:
 
     n_table[i, j] counts conjugates of class-j subgroups that contain the
     class-i representative; leq is its positivity, covers its transitive
-    reduction.
+    reduction.  masks stacks the representatives' membership rows and
+    orders their orders, both in class order.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -141,7 +141,6 @@ class SubgroupPoset:
             self.classes.append(SubgroupClass(
                 index=idx,
                 ids=orbit[0].copy(),
-                mask=masks[0],
                 orbit_masks=masks,
                 order=size,
                 n_conjugates=k,
@@ -154,14 +153,15 @@ class SubgroupPoset:
 
     def _compute_tables(self) -> None:
         c = len(self.classes)
-        reps = np.array([cls.mask for cls in self.classes], dtype=np.int16)
-        orders = np.array([cls.order for cls in self.classes])
+        self.masks = np.array([cls.orbit_masks[0] for cls in self.classes])
+        self.orders = np.array([cls.order for cls in self.classes])
+        reps = self.masks.astype(np.int16)
         self.n_table = np.zeros((c, c), dtype=np.int64)
         for j, large in enumerate(self.classes):
             # hits[r, s]: elements of rep small[s] in conjugate r of class j
-            small = np.flatnonzero(large.order % orders == 0)
+            small = np.flatnonzero(large.order % self.orders == 0)
             hits = large.orbit_masks.astype(np.int16) @ reps[small].T
-            self.n_table[small, j] = (hits == orders[small]).sum(axis=0)
+            self.n_table[small, j] = (hits == self.orders[small]).sum(axis=0)
         self.leq = self.n_table > 0
         strict = self.leq & ~np.eye(c, dtype=bool)
         self.covers = strict & ~(strict @ strict)
@@ -179,10 +179,6 @@ class SubgroupPoset:
     def top_index(self) -> int:
         return len(self.classes) - 1
 
-    @property
-    def trivial_index(self) -> int:
-        return 0
-
     def index_of_subgroup(self, ids) -> int:
         arr = np.unique(np.asarray(list(ids), dtype=np.int32))
         key = arr.tobytes()
@@ -196,54 +192,13 @@ class SubgroupPoset:
                 return c.index
         raise ValidationError(f"no subgroup class named {name!r}")
 
-    def n_count(self, i: int, j: int) -> int:
-        return int(self.n_table[i, j])
-
-    def weyl_order(self, i: int) -> int:
-        return self.classes[i].weyl_order
-
     def maximal_elements(self, indices) -> list[int]:
         """Members of `indices` not strictly below another member."""
-        idx = sorted(set(int(i) for i in indices))
-        out = []
-        for i in idx:
-            if not any(j != i and self.leq[i, j] for j in idx):
-                out.append(i)
-        return out
-
-    def all_subgroups(self) -> list[np.ndarray]:
-        subs = []
-        for c in self.classes:
-            for r in range(c.orbit_masks.shape[0]):
-                subs.append(np.nonzero(c.orbit_masks[r])[0].astype(np.int32))
-        subs.sort(key=lambda a: (a.size, tuple(a)))
-        return subs
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group.name,
-            "group_order": self.group.order,
-            "num_classes": len(self.classes),
-            "classes": [
-                {
-                    "index": c.index,
-                    "name": c.name,
-                    "order": c.order,
-                    "n_conjugates": c.n_conjugates,
-                    "weyl_order": c.weyl_order,
-                    "element_order_multiset": list(c.element_order_multiset),
-                    "representative": [int(x) for x in c.ids],
-                }
-                for c in self.classes
-            ],
-        }
+        idx = np.array(sorted(set(int(i) for i in indices)), dtype=np.intp)
+        only_self = self.leq[np.ix_(idx, idx)].sum(axis=1) == 1
+        return idx[only_self].tolist()
 
 
 @lru_cache(maxsize=None)
 def subgroup_poset(group: FiniteGroup) -> SubgroupPoset:
     return SubgroupPoset(group)
-
-
-def enumerate_subgroups(group: FiniteGroup) -> list[np.ndarray]:
-    """Every subgroup of the group as a sorted id array."""
-    return subgroup_poset(group).all_subgroups()

@@ -302,6 +302,17 @@ def fixed_point_dim(character: np.ndarray, ids: np.ndarray) -> int:
     return nearest
 
 
+def fixed_dims(poset: SubgroupPoset, character: np.ndarray) -> np.ndarray:
+    """dim V^H for every class (H), in class order, where V has this character."""
+    raw = poset.masks @ np.asarray(character, dtype=float) / poset.orders
+    nearest = np.rint(raw)
+    bad = np.flatnonzero(~(np.abs(raw - nearest) <= INTEGRALITY_TOL))
+    if bad.size:
+        raise ValidationError(f"fixed point dimension {float(raw[bad[0]])!r} "
+                              "is not integral")
+    return nearest.astype(np.int64)
+
+
 def orbit_types_of_character(poset: SubgroupPoset,
                              character: np.ndarray) -> list[int]:
     """Classes realized as isotropy groups of nonzero vectors.
@@ -310,55 +321,11 @@ def orbit_types_of_character(poset: SubgroupPoset,
     larger than the K-fixed subspace for every class (K) > (H): a real
     vector space is never a finite union of proper subspaces.
     """
-    dims = np.array([fixed_point_dim(character, c.ids) for c in poset.classes])
-    out = []
-    for i in range(len(poset)):
-        if dims[i] == 0:
-            continue
-        above = [j for j in range(len(poset)) if j != i and poset.leq[i, j]]
-        if all(dims[j] < dims[i] for j in above):
-            out.append(i)
-    return out
+    dims = fixed_dims(poset, character)
+    # row H counts the classes (K) >= (H) with dim V^K >= dim V^H; (H) is one
+    not_smaller = (poset.leq & (dims[None, :] >= dims[:, None])).sum(axis=1)
+    return np.flatnonzero((dims > 0) & (not_smaller == 1)).tolist()
 
 
 def maximal_orbit_types(poset: SubgroupPoset, character: np.ndarray) -> list[int]:
     return poset.maximal_elements(orbit_types_of_character(poset, character))
-
-
-def isotropy_oracle(poset: SubgroupPoset,
-                    irreps: list[MinusIrrep],
-                    samples: int = 40,
-                    seed: int = DEFAULT_SEED) -> set[int]:
-    """Isotropy classes met by random points of the direct sum of irreps.
-
-    Cross-checks orbit_types_of_character: every returned class is an
-    orbit type, and with enough samples the generic strata all appear.
-    Random vectors are drawn both globally and inside each class's fixed
-    subspace so that non-principal strata are hit too.
-    """
-    group = poset.group
-    dims = [r.dim for r in irreps]
-    total = sum(dims)
-    mats = np.zeros((group.order, total, total))
-    for g in range(group.order):
-        at = 0
-        for r in irreps:
-            mats[g, at:at + r.dim, at:at + r.dim] = r.matrix(g)
-            at += r.dim
-    rng = np.random.default_rng(seed)
-    found: set[int] = set()
-
-    def classify(vec: np.ndarray) -> None:
-        if np.linalg.norm(vec) < 1e-12:
-            return
-        moved = mats @ vec
-        fixed = np.linalg.norm(moved - vec[None, :], axis=1) < 1e-8
-        found.add(poset.index_of_subgroup(np.nonzero(fixed)[0]))
-
-    for _ in range(samples):
-        classify(rng.standard_normal(total))
-    for cls in poset.classes:
-        proj = mats[cls.ids].mean(axis=0)
-        for _ in range(4):
-            classify(proj @ rng.standard_normal(total))
-    return found

@@ -87,6 +87,8 @@ def validate_problem(config: ProblemConfig) -> None:
                               "isotypic data; supply a_matrix instead")
     if config.tolerance <= 0:
         raise ValidationError("tolerance must be positive")
+    if config.seed < 0:
+        raise InputError("seed must be a nonnegative integer")
     if config.gamma.type not in ("trivial", "dihedral", "permutation"):
         raise InputError(f"unknown symmetry type {config.gamma.type!r}")
 
@@ -193,6 +195,9 @@ def matrix_spectrum(config: ProblemConfig,
                                       "commute with the spatial symmetry "
                                       "action")
     w, v = np.linalg.eigh(a)
+    # every cluster mean below must stay finite
+    if not math.isfinite(float(np.abs(w).max()) * len(w)):
+        raise ValidationError("eigenvalues of A exceed the floating-point range")
     scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
     ctol = CLUSTER_TOL * scale
     splits = []
@@ -230,12 +235,12 @@ def check_nondegeneracy(table: SpectralTable, m: int,
                         tol: float = 1e-9) -> list[tuple[int, float]]:
     """(j, mu) pairs with j^2/m^2 + mu within tol of zero (lambda = 0)."""
     out = []
-    mus = [e.mu for e in table.eigenvalues]
-    if not mus:
-        return out
-    cap = math.isqrt(int(m * m * max(abs(u) for u in mus) + 1))
-    for e in table.eigenvalues:
-        for j in range(cap + 1):
+    for e in table.eigenvalues:   # only j near sqrt(-m^2 mu) can qualify
+        scaled = m * m * e.mu
+        if not math.isfinite(scaled):
+            raise ValidationError("assumption (A5) cannot be checked: "
+                                  f"m^2 mu overflows at mu={e.mu!r}")
+        for j in range(math.isqrt(int(max(-scaled, 0.0)) + 1) + 2):
             if abs(j * j / (m * m) + e.mu) <= tol:
                 out.append((j, e.mu))
     return out
@@ -336,11 +341,6 @@ def eigenspace_character(ctx: SymmetryContext, j: int,
         for i in fold_frequency(j, ctx.m):
             total += mult * ctx.minus(i, l).character
     return total
-
-
-def eigenspace_degree(ctx: SymmetryContext, j: int,
-                      entry: EigenvalueEntry) -> BurnsideElement:
-    return degree_for_character(ctx.poset, eigenspace_character(ctx, j, entry))
 
 
 def ambient_character(ctx: SymmetryContext) -> np.ndarray:

@@ -1,18 +1,26 @@
 """Slow reference implementations used to cross-check the library.
 
 Everything here trades speed for obviousness: brute-force subset closures,
-direct orbit counting, elementwise definitions.  Tests compare library
-output against these on small groups.
+direct orbit counting, elementwise definitions, closed forms and random
+sampling.  Tests compare library output against these on small groups.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
 
 from eqdeg import naming
+from eqdeg.bifurcation import CriticalPoint
+from eqdeg.burnside import BurnsideElement
+from eqdeg.degrees import degree_for_character
+from eqdeg.errors import ValidationError
 from eqdeg.groups import FiniteGroup
+from eqdeg.lattice import SubgroupPoset
+from eqdeg.reps import DEFAULT_SEED, MinusIrrep
+from eqdeg.spectral import SpectralTable, SymmetryContext, eigenspace_character
 
 
 def closure(group: FiniteGroup, seed: set[int]) -> frozenset[int]:
@@ -207,6 +215,142 @@ def _coset_action(group: FiniteGroup, cosets: list[frozenset[int]]) -> list[list
     return act
 
 
-def fixed_point_count(action_images: np.ndarray, g: int) -> int:
-    pts = np.arange(action_images.shape[1])
-    return int(np.sum(action_images[g] == pts))
+def multiply_oracle(poset: SubgroupPoset, i: int, j: int) -> BurnsideElement:
+    """Basis product [G/H_i][G/H_j] by explicit orbit decomposition.
+
+    Independent of the mark solve: builds both coset actions, walks
+    the orbits of the product action and classifies each stabilizer.
+    """
+    act_h = _coset_table(poset, i)
+    act_k = _coset_table(poset, j)
+    nh, nk = act_h.shape[1], act_k.shape[1]
+    seen = np.zeros((nh, nk), dtype=bool)
+    coeffs: dict[int, int] = {}
+    for a in range(nh):
+        for b in range(nk):
+            if seen[a, b]:
+                continue
+            stab_mask = (act_h[:, a] == a) & (act_k[:, b] == b)
+            stab = np.nonzero(stab_mask)[0].astype(np.int32)
+            cls = poset.index_of_subgroup(stab)
+            coeffs[cls] = coeffs.get(cls, 0) + 1
+            seen[act_h[:, a], act_k[:, b]] = True
+    return BurnsideElement(poset, coeffs)
+
+
+def _coset_table(poset: SubgroupPoset, i: int) -> np.ndarray:
+    """Left action of G on G/H_i: (action[g, c] = coset index of g * rep_c)."""
+    g = poset.group
+    h_ids = poset.classes[i].ids
+    coset_id = np.full(g.order, -1, dtype=np.int32)
+    reps = []
+    for x in range(g.order):
+        if coset_id[x] >= 0:
+            continue
+        members = g.table[x, h_ids]
+        coset_id[members] = len(reps)
+        reps.append(x)
+    return coset_id[g.table[:, np.array(reps, dtype=np.int32)]]
+
+
+def closed_form_basic_degree(poset: SubgroupPoset, m: int,
+                             index: int) -> BurnsideElement:
+    """Basic degree of the sign-twisted dihedral irrep, named classes only.
+
+    Valid over the lattice of D_m x Z2.  Needs no mark computation, so it
+    cross-checks both the mark solve and the class naming.  The planar
+    cases branch on p = m / gcd(m, index): the isotropy pattern of a
+    planar mode depends only on whether p is odd, twice odd, or divisible
+    by four.
+    """
+    if poset.group.order != 4 * m:
+        raise ValidationError(f"lattice does not belong to D_{m} x Z2")
+    s = (m + 1) // 2
+    if index == 0:
+        sub = {f"D{m}": -1}
+    elif index == s:
+        sub = {f"D{m}^z": -1}
+    elif m % 2 == 0 and index == s + 1:
+        sub = {f"D{m}^d": -1}
+    elif m % 2 == 0 and index == s + 2:
+        sub = {f"D{m}^dh": -1}
+    elif 0 < index < m / 2:
+        h = math.gcd(m, index)
+        p = m // h
+        if p % 2 == 1:
+            sub = {f"D{h}": -1, f"D{h}^z": -1, f"Z{h}": 1}
+        elif p % 4 == 2:
+            sub = {f"D{2 * h}^d": -1, f"D{2 * h}^dh": -1, f"Z{2 * h}^d": 1}
+        else:
+            sub = {f"D{2 * h}^d": -1, f"~D{2 * h}^d": -1, f"Z{2 * h}^d": 1}
+    else:
+        raise ValidationError(f"no dihedral irrep with index {index} for m={m}")
+    coeffs = {poset.top_index: 1}
+    for name, c in sub.items():
+        coeffs[poset.index_by_name(name)] = c
+    return BurnsideElement(poset, coeffs)
+
+
+def isotropy_oracle(poset: SubgroupPoset,
+                    irreps: list[MinusIrrep],
+                    samples: int = 40,
+                    seed: int = DEFAULT_SEED) -> set[int]:
+    """Isotropy classes met by random points of the direct sum of irreps.
+
+    Cross-checks orbit_types_of_character: every returned class is an
+    orbit type, and with enough samples the generic strata all appear.
+    Random vectors are drawn both globally and inside each class's fixed
+    subspace so that non-principal strata are hit too.
+    """
+    group = poset.group
+    dims = [r.dim for r in irreps]
+    total = sum(dims)
+    mats = np.zeros((group.order, total, total))
+    for g in range(group.order):
+        at = 0
+        for r in irreps:
+            mats[g, at:at + r.dim, at:at + r.dim] = r.matrix(g)
+            at += r.dim
+    rng = np.random.default_rng(seed)
+    found: set[int] = set()
+
+    def classify(vec: np.ndarray) -> None:
+        if np.linalg.norm(vec) < 1e-12:
+            return
+        moved = mats @ vec
+        fixed = np.linalg.norm(moved - vec[None, :], axis=1) < 1e-8
+        found.add(poset.index_of_subgroup(np.nonzero(fixed)[0]))
+
+    for _ in range(samples):
+        classify(rng.standard_normal(total))
+    for cls in poset.classes:
+        proj = mats[cls.ids].mean(axis=0)
+        for _ in range(4):
+            classify(proj @ rng.standard_normal(total))
+    return found
+
+
+def bifurcation_reference(ctx: SymmetryContext, table: SpectralTable,
+                          point: CriticalPoint, tol: float) -> BurnsideElement:
+    """omega at one critical point, rebuilt from scratch.
+
+    The prefix lists every block strictly below the point anew, and the
+    jump prefix * ((G) - block) is multiplied one basis pair at a time by
+    multiply_oracle instead of through marks.
+    """
+    m = ctx.m
+    prefix = np.zeros(ctx.group.order)
+    for e in table.eigenvalues:
+        j = 0
+        while e.mu + j * j / (m * m) < point.alpha - tol:
+            prefix += eigenspace_character(ctx, j, e)
+            j += 1
+    block = sum(eigenspace_character(ctx, j, table.entry(mu))
+                for j, mu in point.contributions)
+    left = degree_for_character(ctx.poset, prefix)
+    right = BurnsideElement.unit(ctx.poset) - degree_for_character(ctx.poset, block)
+    out = BurnsideElement.zero(ctx.poset)
+    for i, a in left.coeffs.items():
+        for k, b in right.coeffs.items():
+            out = out + a * b * multiply_oracle(ctx.poset, i, k)
+    return out

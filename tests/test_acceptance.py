@@ -20,12 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from eqdeg.burnside import BurnsideElement, multiply_oracle
-from eqdeg.degrees import (basic_degree, closed_form_basic_degree,
-                           degree_for_character)
+from eqdeg.burnside import BurnsideElement
+from eqdeg.degrees import basic_degree, degree_for_character
 from eqdeg.groups import direct_product, make_dihedral, make_sign_group
 from eqdeg.lattice import subgroup_poset
-from eqdeg.reps import (maximal_orbit_types, minus_irrep, isotropy_oracle,
+from eqdeg.reps import (maximal_orbit_types, minus_irrep,
                         orbit_types_of_character, time_irrep,
                         time_irrep_indices, trivial_gamma_irrep)
 from eqdeg.spectral import (ProblemConfig, build_symmetry_context,
@@ -34,6 +33,7 @@ from eqdeg.spectral import (ProblemConfig, build_symmetry_context,
 from eqdeg.bifurcation import bifurcation_report
 
 from .conftest import case_config
+from .oracles import closed_form_basic_degree, isotropy_oracle, multiply_oracle
 from .test_spectral import SIGMA_M3, SIGMA_M4
 
 

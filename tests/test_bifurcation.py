@@ -12,6 +12,7 @@ from eqdeg.errors import ValidationError
 from eqdeg.spectral import (ProblemConfig, build_symmetry_context,
                             matrix_spectrum)
 
+from . import oracles
 from .conftest import case_config
 
 ALPHAS_M3 = [Fraction(-2), Fraction(-17, 9), Fraction(-14, 9), Fraction(-1),
@@ -104,6 +105,13 @@ def test_even_multiplicity_crossings_vanish():
             assert abs(float(inv.point.alpha_exact) - inv.point.alpha) < 1e-12
 
 
+def assert_matches_reference(cfg, ctx, table):
+    """Every omega of the report equals the from-scratch reference."""
+    for inv in bifurcation_report(cfg, ctx).invariants:
+        assert inv.omega == oracles.bifurcation_reference(
+            ctx, table, inv.point, cfg.tolerance), inv.point.alpha
+
+
 def test_coincident_crossings_merge_and_strict_mode_rejects():
     cfg = ProblemConfig(m=2, k=2, spectrum=((Fraction(-2), 1),
                                             (Fraction(-1), 1)))
@@ -114,13 +122,16 @@ def test_coincident_crossings_merge_and_strict_mode_rejects():
     assert len(merged) == 1    # alpha(2, -2) = alpha(0, -1) = -1
     assert merged[0].contributions == ((2, -2.0), (0, -1.0))
     assert not merged[0].simple
+    assert merged[0].alpha_exact == Fraction(-1)
     local_invariant(ctx, table, merged[0])      # permissive mode works
+    assert_matches_reference(cfg, ctx, table)
     with pytest.raises(ValidationError):
         local_invariant(ctx, table, merged[0], strict=True)
 
 
 def test_shortcut_cross_check_runs_in_report(m3_data):
-    cfg, ctx, _table = m3_data
+    cfg, ctx, table = m3_data
+    assert_matches_reference(cfg, ctx, table)
     report = bifurcation_report(cfg, ctx)
     for inv in report.invariants:
         if inv.odd_crossing:

@@ -1,16 +1,17 @@
-"""Burnside ring arithmetic: recurrence route against orbit counting."""
+"""Burnside ring arithmetic: the mark solve against orbit counting."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqdeg.burnside import BurnsideElement, multiply_oracle
+from eqdeg.burnside import BurnsideElement
 from eqdeg.errors import ValidationError
 from eqdeg.groups import direct_product, make_cyclic, make_dihedral, make_sign_group
 from eqdeg.lattice import subgroup_poset
 
 from . import oracles
+from .oracles import multiply_oracle
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,20 @@ def burnside_elements(draw, poset):
         c = draw(st.integers(min_value=-3, max_value=3))
         coeffs[i] = coeffs.get(i, 0) + c
     return BurnsideElement(poset, coeffs)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_marks_round_trip_and_multiply_pointwise(data, pg72):
+    x = data.draw(burnside_elements(pg72))
+    y = data.draw(burnside_elements(pg72))
+    assert BurnsideElement.from_marks(pg72, x.marks()) == x
+    assert (x * y).marks() == [a * b for a, b in zip(x.marks(), y.marks())]
+
+
+def test_from_marks_rejects_marks_outside_the_image(pg72):
+    with pytest.raises(ValidationError, match=r"class Z1 x Z1"):
+        BurnsideElement.from_marks(pg72, [1] + [0] * (len(pg72) - 1))
 
 
 @given(data=st.data())

@@ -1,5 +1,6 @@
 """Command-line interface: validation, determinism, golden reports."""
 
+import hashlib
 import json
 import pathlib
 import re
@@ -8,6 +9,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqdeg.cli import main, validate_config
 from eqdeg.errors import InputError
@@ -69,12 +72,13 @@ def test_exit_code_missing_file(capsys):
 
 
 def test_exit_code_validation_failure(tmp_path, capsys):
-    cfg = tmp_path / "asym.json"
-    cfg.write_text(json.dumps(
-        {"m": 3, "k": 2, "A": [[1, 2], [0, 1]]}))
-    code, _out, err = run_cli(capsys, "existence", str(cfg))
-    assert code == 2
-    assert "(A5)" in err
+    cfg = tmp_path / "cfg.json"
+    for raw in ({"m": 3, "k": 2, "A": [[1, 2], [0, 1]]},     # asymmetric
+                {"m": 3, "k": 1, "A": [[1e308]]}):           # m^2 mu overflows
+        cfg.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "existence", str(cfg))
+        assert (code, out) == (2, "")
+        assert "(A5)" in err and err.count("\n") == 1
 
 
 def test_exit_code_equivariance_failure(tmp_path, capsys):
@@ -112,6 +116,41 @@ def test_order_cap_is_checked_before_any_table(tmp_path, capsys, raw):
     assert "exceeds cap" in err
 
 
+SMALL = st.integers(-3, 3) | st.floats(-3, 3) | st.just("-1/2")
+BAD = st.sampled_from([float("nan"), float("inf"), "1e999", "1/0", "x", True,
+                       None, [], 10**400])
+# huge negative eigenvalues and window ends are slow, not wrong (the critical
+# set grows with them), so huge values only enter as positive diagonal entries
+ENTRY = SMALL | BAD | st.sampled_from([1e308, 1e20])
+KEYS = ["m", "k", "gamma", "A", "spectrum", "tolerance", "seed", "window"]
+
+
+@st.composite
+def configs(draw):
+    """Well-formed configs with some huge, non-finite or mistyped parts."""
+    k = draw(st.integers(1, 3))
+    a = [[draw(ENTRY if r == c else SMALL) for c in range(k)] for r in range(k)]
+    raw = {"m": draw(st.integers(2, 4)), "k": k, "gamma": draw(st.sampled_from([
+        {"type": "dihedral", "n": k},
+        {"type": "permutation", "generators": [[(i + 1) % k for i in range(k)]]}])),
+        "A": [[a[min(r, c)][max(r, c)] for c in range(k)] for r in range(k)]}
+    if draw(st.booleans()):
+        del raw["A"]
+        raw.update(gamma={"type": "trivial"}, spectrum=[[a[i][i], 1] for i in range(k)])
+    for key in draw(st.sets(st.sampled_from(KEYS), max_size=2)):
+        raw[key] = draw(ENTRY | st.lists(SMALL | BAD, min_size=2, max_size=2))
+    return raw
+
+
+@given(raw=configs(), verb=st.sampled_from(["existence", "bifurcation"]))
+@example(raw={"m": 3, "k": 1, "A": [[1e308]]}, verb="existence")
+@settings(max_examples=60, deadline=None)
+def test_any_config_exits_cleanly(tmp_path_factory, raw, verb):
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main([verb, str(path)]) in (0, 1, 2)
+
+
 def test_burnside_mul_argument_errors(capsys):
     code, _out, _err = run_cli(capsys, "burnside-mul",
                                str(CONFIGS / "m6_trivial.json"), "D6")
@@ -144,6 +183,16 @@ def test_burnside_mul_of_index_two_classes(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["product"] == [{"name": "Z6", "coefficient": 1}]
+
+
+def test_long_burnside_product_stays_exact(capsys):
+    # coefficients pass 2**63, where int64 arithmetic would wrap
+    code, out, _err = run_cli(capsys, "burnside-mul",
+                              str(CONFIGS / "m3_d3.json"), *["D1 x Z1"] * 15)
+    assert code == 0
+    assert "+3070470465273175474176  Z1 x Z1" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e8a0c36a40a989c9e803753b09a3b859a38ff8e912df09831be9e83f71a5ee6c")
 
 
 def test_basic_degrees_square_note(capsys):

@@ -15,10 +15,10 @@ from eqdeg.groups import (
 )
 from eqdeg.lattice import subgroup_poset
 from eqdeg.reps import (
+    fixed_dims,
     fixed_point_dim,
     fold_frequency,
     gamma_irreps_in,
-    isotropy_oracle,
     isotypic_multiplicity,
     maximal_orbit_types,
     minus_irrep,
@@ -27,6 +27,8 @@ from eqdeg.reps import (
     time_irreps,
     trivial_gamma_irrep,
 )
+
+from .oracles import isotropy_oracle
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12])
@@ -153,6 +155,15 @@ def test_isotypic_multiplicity_rejects_non_integral():
 def test_fixed_point_dim_integrality_guard():
     with pytest.raises(ValidationError):
         fixed_point_dim(np.array([1.0, 0.5]), np.array([0, 1]))
+
+
+def test_fixed_dims_match_fixed_point_dim(ctx_m3):
+    poset = ctx_m3.poset
+    char = sum(ctx_m3.minus(i, l).character for i in (0, 1, 2) for l in (0, 1))
+    assert fixed_dims(poset, char).tolist() == \
+        [fixed_point_dim(char, c.ids) for c in poset.classes]
+    with pytest.raises(ValidationError):
+        fixed_dims(poset, np.full(poset.group.order, 0.5))
 
 
 def test_minus_irrep_character_and_fixed_points():
