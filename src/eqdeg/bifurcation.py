@@ -37,7 +37,7 @@ import numpy as np
 
 from .burnside import BurnsideElement
 from .errors import ValidationError
-from .reps import fixed_dims
+from .reps import fixed_dims, fold_frequency
 from .spectral import (EigenvalueEntry, ProblemConfig, SpectralTable,
                        SymmetryContext, build_symmetry_context,
                        eigenspace_character, matrix_spectrum)
@@ -112,7 +112,6 @@ def critical_values(ctx: SymmetryContext, table: SpectralTable,
 def _merge(ctx: SymmetryContext,
            group: list[tuple[float, int, EigenvalueEntry, Fraction | None]]
            ) -> CriticalPoint:
-    from .reps import fold_frequency
     group = sorted(group, key=lambda t: (t[2].mu, t[1]))
     mults: dict[str, int] = {}
     for _alpha, j, entry, _ex in group:
@@ -120,7 +119,7 @@ def _merge(ctx: SymmetryContext,
             if gmult == 0:
                 continue
             for i in fold_frequency(j, ctx.m):
-                label = ctx.minus(i, l).label
+                label = ctx.minus[i, l].label
                 mults[label] = mults.get(label, 0) + gmult
     simple = len(group) == 1 and group[0][2].mult == 1
     exacts = {ex for *_xs, ex in group}
@@ -191,8 +190,8 @@ def bifurcation_report(config: ProblemConfig,
     table = matrix_spectrum(config, ctx)
     if window is None:
         window = default_window(table)
-    points = critical_values(ctx, table, window)
-    invs = _walk(ctx, table, points)
+    points = critical_values(ctx, table, window, config.tolerance)
+    invs = _walk(ctx, table, points, config.tolerance)
     for inv in invs:
         if inv.odd_crossing and not inv.nonzero:
             raise ValidationError("odd-crossing shortcut contradicts a zero "

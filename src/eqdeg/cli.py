@@ -177,7 +177,7 @@ def basic_degrees_doc(ctx: SymmetryContext) -> dict:
     rows = []
     for i in time_irrep_indices(ctx.m):
         for l in range(len(ctx.gamma_irreps)):
-            irr = ctx.minus(i, l)
+            irr = ctx.minus[i, l]
             rows.append({"label": irr.label, "dim": irr.dim,
                          "degree": _degree_json(basic_degree(ctx.poset, irr))})
     return {"verb": "basic-degrees", "group": _group_block(ctx),

@@ -3,9 +3,9 @@
 Every group used by this package is small (order <= MAX_GROUP_ORDER), so
 we store the full Cayley table as an int32 array.  Element ids are plain
 integers 0..order-1 with the identity always at id 0.  A construction tag
-records how each group was assembled; later stages (subgroup naming,
-representation assembly) rely on these tags instead of re-deriving
-structure from the table.
+records how each group was assembled; subgroup naming relies on these
+tags, and representation assembly on the id layout of direct_product,
+instead of re-deriving structure from the table.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ StructureTag = Trivial | Cyclic | Dihedral | Sign | Permutation | Product
 class FiniteGroup:
     name: str
     table: np.ndarray
-    labels: tuple[str, ...]
     structure: StructureTag
     inverse: np.ndarray = field(init=False)
 
@@ -88,7 +87,7 @@ class FiniteGroup:
         n = self.order
         if self.table.shape != (n, n):
             raise ValidationError(f"{self.name}: table shape {self.table.shape} "
-                                  f"does not match {n} labels")
+                                  "is not square")
         check_order(n, f"{self.name}:")
         inv = np.full(n, -1, dtype=np.int32)
         rows, cols = np.nonzero(self.table == 0)
@@ -97,7 +96,7 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.labels)
+        return self.table.shape[0]
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -128,29 +127,6 @@ class FiniteGroup:
             if nxt.size == cur.size:
                 return nxt.astype(np.int32)
             cur = nxt
-
-    def validate(self) -> None:
-        """Full axiom check: Latin square, identity, inverses, associativity."""
-        n = self.order
-        t = self.table
-        if t.min() < 0 or t.max() >= n:
-            raise ValidationError(f"{self.name}: table entries out of range")
-        ident = np.arange(n, dtype=np.int32)
-        if not (np.array_equal(t[0], ident) and np.array_equal(t[:, 0], ident)):
-            raise ValidationError(f"{self.name}: id 0 is not an identity")
-        if not np.all(np.sort(t, axis=1) == ident[None, :]):
-            raise ValidationError(f"{self.name}: a row is not a permutation")
-        if not np.all(np.sort(t, axis=0) == ident[:, None]):
-            raise ValidationError(f"{self.name}: a column is not a permutation")
-        if np.any(self.inverse < 0):
-            raise ValidationError(f"{self.name}: some element has no inverse")
-        if not np.array_equal(t[ident, self.inverse], np.zeros(n, dtype=np.int32)):
-            raise ValidationError(f"{self.name}: inverse table inconsistent")
-        for a in range(n):
-            left = t[t[a, :], :]          # (a b) c
-            right = t[a, t]               # a (b c)
-            if not np.array_equal(left, right):
-                raise ValidationError(f"{self.name}: associativity fails at a={a}")
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -189,26 +165,12 @@ class PermutationAction:
             out[g, self.images[g], ar] = 1.0
         return out
 
-    def validate(self) -> None:
-        n, k = self.group.order, self.degree
-        pts = np.arange(k, dtype=np.int32)
-        if not np.array_equal(self.images[0], pts):
-            raise ValidationError("action: identity does not act trivially")
-        for g in range(n):
-            if not np.array_equal(np.sort(self.images[g]), pts):
-                raise ValidationError(f"action: element {g} is not a permutation")
-        for g in range(n):
-            # composed[h] = images[g][images[h]] must equal images[g*h]
-            composed = self.images[g][self.images]
-            if not np.array_equal(composed, self.images[self.group.table[g]]):
-                raise ValidationError(f"action: homomorphism fails at g={g}")
-
 
 # ---------------------------------------------------------------------------
 # constructors
 
 def make_trivial() -> FiniteGroup:
-    return FiniteGroup("Z1", np.zeros((1, 1), dtype=np.int32), ("e",), Trivial())
+    return FiniteGroup("Z1", np.zeros((1, 1), dtype=np.int32), Trivial())
 
 
 def make_cyclic(n: int, name: str | None = None) -> FiniteGroup:
@@ -217,13 +179,12 @@ def make_cyclic(n: int, name: str | None = None) -> FiniteGroup:
     check_order(n, "cyclic group")
     a = np.arange(n, dtype=np.int32)
     table = (a[:, None] + a[None, :]) % n
-    labels = tuple("e" if i == 0 else "t" if i == 1 else f"t^{i}" for i in range(n))
-    return FiniteGroup(name or f"Z{n}", table, labels, Cyclic(n))
+    return FiniteGroup(name or f"Z{n}", table, Cyclic(n))
 
 
 def make_sign_group() -> FiniteGroup:
     table = np.array([[0, 1], [1, 0]], dtype=np.int32)
-    return FiniteGroup("Z2s", table, ("+1", "-1"), Sign())
+    return FiniteGroup("Z2s", table, Sign())
 
 
 def _dihedral_table(n: int) -> np.ndarray:
@@ -244,9 +205,7 @@ def make_dihedral(n: int, name: str | None = None) -> FiniteGroup:
     if n < 1:
         raise ValidationError("dihedral group needs n >= 1")
     check_order(2 * n, "dihedral group")
-    rot = tuple("e" if i == 0 else "r" if i == 1 else f"r^{i}" for i in range(n))
-    ref = tuple("s" if i == 0 else f"r^{i}*s" if i > 1 else "r*s" for i in range(n))
-    return FiniteGroup(name or f"D{n}", _dihedral_table(n), rot + ref, Dihedral(n))
+    return FiniteGroup(name or f"D{n}", _dihedral_table(n), Dihedral(n))
 
 
 def dihedral_rotation_action(group: FiniteGroup) -> PermutationAction:
@@ -260,25 +219,6 @@ def dihedral_rotation_action(group: FiniteGroup) -> PermutationAction:
         images[a] = (pts + a) % n          # r^a
         images[n + a] = (a - pts) % n      # r^a s
     return PermutationAction(group, n, images)
-
-
-def _cycle_label(perm: Sequence[int]) -> str:
-    k = len(perm)
-    seen = [False] * k
-    parts = []
-    for i in range(k):
-        if seen[i] or perm[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        parts.append("(" + " ".join(str(x) for x in cyc) + ")")
-    return "".join(parts) if parts else "e"
 
 
 def make_permutation_group(degree: int,
@@ -319,8 +259,7 @@ def make_permutation_group(degree: int,
     for i, p in enumerate(order_list):
         for j, q in enumerate(order_list):
             table[i, j] = elems[tuple(p[q[k]] for k in range(degree))]
-    labels = tuple(_cycle_label(p) for p in order_list)
-    group = FiniteGroup(name, table, labels, Permutation(degree))
+    group = FiniteGroup(name, table, Permutation(degree))
     action = PermutationAction(group, degree, np.array(order_list, dtype=np.int32))
     return group, action
 
@@ -332,13 +271,6 @@ def direct_product(left: FiniteGroup, right: FiniteGroup,
     check_order(na * nb, "product")
     table = (left.table[:, None, :, None].astype(np.int64) * nb
              + right.table[None, :, None, :]).reshape(na * nb, na * nb)
-    labels = tuple(f"({la},{lb})" for la in left.labels for lb in right.labels)
     return FiniteGroup(name or f"{left.name}x{right.name}",
-                       table.astype(np.int32), labels, Product(left, right))
+                       table.astype(np.int32), Product(left, right))
 
-
-def product_components(group: FiniteGroup, g: int) -> tuple[int, int]:
-    if not isinstance(group.structure, Product):
-        raise ValidationError("product_components needs a product group")
-    nb = group.structure.right.order
-    return g // nb, g % nb

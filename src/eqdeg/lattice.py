@@ -56,7 +56,6 @@ class SubgroupClass:
     order: int
     n_conjugates: int
     weyl_order: int
-    element_order_multiset: tuple[int, ...]
     name: str
 
     def __repr__(self) -> str:
@@ -67,9 +66,9 @@ class SubgroupPoset:
     """Conjugacy classes of subgroups with containment data.
 
     n_table[i, j] counts conjugates of class-j subgroups that contain the
-    class-i representative; leq is its positivity, covers its transitive
-    reduction.  masks stacks the representatives' membership rows and
-    orders their orders, both in class order.
+    class-i representative; leq is its positivity.  masks stacks the
+    representatives' membership rows and orders their orders, both in
+    class order.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -87,12 +86,12 @@ class SubgroupPoset:
         el_orders = g.element_orders()
         ppow = np.array([_is_prime_power(int(k)) for k in el_orders])
 
-        key_to_raw: dict[bytes, int] = {}
+        registered: set[bytes] = set()
         raw_classes: list[tuple[np.ndarray, np.ndarray]] = []   # (orbit rows, masks)
         worklist: list[np.ndarray] = []
 
         def register(ids: np.ndarray) -> None:
-            if ids.tobytes() in key_to_raw:
+            if ids.tobytes() in registered:
                 return
             # distinct conjugates as packed masks; descending masks = ascending id rows
             member = np.zeros((n, n), dtype=bool)
@@ -103,7 +102,7 @@ class SubgroupPoset:
             masks = np.flipud(np.unpackbits(rows, axis=1, count=n)).astype(bool)
             orbit = np.nonzero(masks)[1].astype(np.int32).reshape(-1, ids.size)
             for row in orbit:
-                key_to_raw[row.tobytes()] = len(raw_classes)
+                registered.add(row.tobytes())
             raw_classes.append((orbit, masks))
             worklist.append(orbit[0])
 
@@ -128,12 +127,10 @@ class SubgroupPoset:
                  naming.class_base_name(g, orbit[0]), tuple(orbit[0]))
                 for orbit, _ in raw_classes]
         ordered = sorted(range(len(raw_classes)), key=keys.__getitem__)
-        position = np.argsort(ordered)
-        self._key_to_class = {key: int(position[raw]) for key, raw in key_to_raw.items()}
         counts: dict[str, int] = {}
         for idx, raw in enumerate(ordered):
             orbit, masks = raw_classes[raw]
-            size, multiset, base, _ = keys[raw]
+            size, _, base, _ = keys[raw]
             counts[base] = counts.get(base, 0) + 1
             k = orbit.shape[0]
             if (n // k) % size != 0:
@@ -145,7 +142,6 @@ class SubgroupPoset:
                 order=size,
                 n_conjugates=k,
                 weyl_order=(n // k) // size,
-                element_order_multiset=multiset,
                 name=base if counts[base] == 1 else f"{base}#{counts[base]}",
             ))
 
@@ -163,8 +159,6 @@ class SubgroupPoset:
             hits = large.orbit_masks.astype(np.int16) @ reps[small].T
             self.n_table[small, j] = (hits == self.orders[small]).sum(axis=0)
         self.leq = self.n_table > 0
-        strict = self.leq & ~np.eye(c, dtype=bool)
-        self.covers = strict & ~(strict @ strict)
 
     # -- queries -----------------------------------------------------------
 
@@ -172,19 +166,8 @@ class SubgroupPoset:
         return len(self.classes)
 
     @property
-    def names(self) -> list[str]:
-        return [c.name for c in self.classes]
-
-    @property
     def top_index(self) -> int:
         return len(self.classes) - 1
-
-    def index_of_subgroup(self, ids) -> int:
-        arr = np.unique(np.asarray(list(ids), dtype=np.int32))
-        key = arr.tobytes()
-        if key not in self._key_to_class:
-            raise ValidationError("not a subgroup of this lattice's group")
-        return self._key_to_class[key]
 
     def index_by_name(self, name: str) -> int:
         for c in self.classes:
@@ -199,6 +182,7 @@ class SubgroupPoset:
         return idx[only_self].tolist()
 
 
-@lru_cache(maxsize=None)
+# keyed by group identity; the bound keeps long sweeps in flat memory
+@lru_cache(maxsize=4)
 def subgroup_poset(group: FiniteGroup) -> SubgroupPoset:
     return SubgroupPoset(group)

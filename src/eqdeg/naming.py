@@ -56,7 +56,7 @@ def class_base_name(group: FiniteGroup, ids: Sequence[int]) -> str:
 
 def _dihedral_name(n: int, ids: list[int]) -> str:
     rot = [i for i in ids if i < n]
-    refl = [i - n for i in ids if i >= n]
+    refl = _dihedral_reflection_exponents(n, ids)
     if not refl:
         return f"Z{len(rot)}"
     l = len(rot)

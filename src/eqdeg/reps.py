@@ -14,17 +14,18 @@ to about 1e-6, otherwise the decomposition is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError
-from .groups import Dihedral, FiniteGroup, PermutationAction, Product, Sign
+from .groups import FiniteGroup, PermutationAction
 from .lattice import SubgroupPoset
 
 DEFAULT_SEED = 12345
 INTEGRALITY_TOL = 1e-6
+CLUSTER_TOL = 1e-7   # relative gap below which eigenvalues merge
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +183,31 @@ class _RetryDecomposition(Exception):
     pass
 
 
+def cluster_eigenvalues(w: np.ndarray) -> tuple[list[np.ndarray], float | None]:
+    """Index blocks of the ascending eigenvalues w, split where they part.
+
+    Neighbours merge when their gap is at most CLUSTER_TOL * max(1, |w|).
+    A gap above that but below ten times it leaves the clustering
+    ambiguous: then no blocks are returned, and the second value is the
+    eigenvalue just above the first such gap (None when there is none).
+    """
+    tol = CLUSTER_TOL * max(1.0, float(np.abs(w).max(initial=0.0)))
+    gaps = np.diff(w)
+    ambiguous = np.flatnonzero((gaps > tol) & (gaps < 10.0 * tol))
+    if ambiguous.size:
+        return [], float(w[ambiguous[0] + 1])
+    return np.split(np.arange(len(w)), np.flatnonzero(gaps > tol) + 1), None
+
+
 def _split_eigenspaces(action: PermutationAction,
                        mats: np.ndarray,
                        avg: np.ndarray) -> list[GammaIrrep]:
     group = action.group
     n, k = group.order, action.degree
     w, v = np.linalg.eigh(avg)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    tol = 1e-7 * scale
-    # cluster eigenvalues; demand a clean margin between clusters
-    splits = []
-    for t in range(1, k):
-        if w[t] - w[t - 1] > tol:
-            if w[t] - w[t - 1] < 10.0 * tol:
-                raise _RetryDecomposition(f"ambiguous eigenvalue gap near {w[t]:.3e}")
-            splits.append(t)
-    blocks = np.split(np.arange(k), splits)
+    blocks, near = cluster_eigenvalues(w)
+    if near is not None:
+        raise _RetryDecomposition(f"ambiguous eigenvalue gap near {near:.3e}")
     found: list[GammaIrrep] = []
     copies: list[int] = []
     for idx in blocks:
@@ -259,30 +269,25 @@ class MinusIrrep:
     character: np.ndarray
 
     def matrix(self, g: int) -> np.ndarray:
-        a, b, e = _component_ids(self.group)
-        sign = 1.0 - 2.0 * e[g]
-        return sign * np.kron(self.gamma.matrix(int(a[g])),
-                              self.time.matrix(int(b[g])))
+        a, b, e = split_ids(g, self.time.m)
+        return (1 - 2 * e) * np.kron(self.gamma.matrix(a), self.time.matrix(b))
 
 
-@lru_cache(maxsize=None)
-def _component_ids(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays mapping each id of Gamma x D_m x Z2 (or D_m x Z2) to components."""
-    ids = np.arange(group.order)
-    tag = group.structure
-    if isinstance(tag, Product) and isinstance(tag.right.structure, Sign) \
-            and isinstance(tag.left.structure, Dihedral):
-        return np.zeros_like(ids), ids // 2, ids % 2
-    if isinstance(tag, Product) and isinstance(tag.right.structure, Product) \
-            and isinstance(tag.right.structure.right.structure, Sign):
-        nb = tag.right.order
-        rem = ids % nb
-        return ids // nb, rem // 2, rem % 2
-    raise ValidationError("group is not of the form Gamma x D_m x Z2 or D_m x Z2")
+def split_ids(ids, m: int):
+    """(Gamma, D_m, Z2) components of ids of Gamma x (D_m x Z2).
+
+    direct_product numbers (a, b) as a * right.order + b, so an id of
+    Gamma x (D_m x Z2) is gamma * 4m + 2 d + e, with e = 1 for the sign
+    -1.  D_m x Z2 itself is the case of trivial Gamma (gamma = 0).
+    """
+    rest = ids % (4 * m)
+    return ids // (4 * m), rest // 2, rest % 2
 
 
 def minus_irrep(group: FiniteGroup, gamma: GammaIrrep, time: TimeIrrep) -> MinusIrrep:
-    a, b, e = _component_ids(group)
+    if group.order != gamma.character.size * 4 * time.m:
+        raise ValidationError("group is not of the form Gamma x D_m x Z2 or D_m x Z2")
+    a, b, e = split_ids(np.arange(group.order), time.m)
     sign = 1.0 - 2.0 * e
     char = sign * gamma.character[a] * time.character[b]
     label = f"{time.label}-" if gamma.label == "U0" and gamma.dim == 1 \

@@ -15,9 +15,10 @@ all negative blocks, subtracted from the unit, is the existence degree.
 Nonzero coefficients at maximal orbit types of the function space then
 guarantee whole orbits of 2 pi m periodic solutions.
 
-The per-index counters beta/eta/rho reproduce the same product through
-closed-form bookkeeping over D_m x Z2; they feed the parity shortcuts
-and serve as a cross-check when the spatial group is trivial.
+The counter eta[i] counts the negative blocks whose frequency folds onto
+the dihedral irrep i, with multiplicity, and rho sums eta over planar
+indices sharing their gcd with m; their parities feed the shortcuts for
+trivial spatial symmetry.
 """
 
 from __future__ import annotations
@@ -35,12 +36,10 @@ from .groups import (FiniteGroup, PermutationAction, check_order,
                      dihedral_rotation_action, direct_product, make_dihedral,
                      make_permutation_group, make_sign_group)
 from .lattice import SubgroupPoset, subgroup_poset
-from .reps import (DEFAULT_SEED, GammaIrrep, MinusIrrep, fold_frequency,
-                   gamma_irreps_in, isotypic_multiplicity,
-                   maximal_orbit_types, minus_irrep, time_irrep,
-                   time_irrep_indices, trivial_gamma_irrep)
-
-CLUSTER_TOL = 1e-7   # relative gap below which eigenvalues merge
+from .reps import (DEFAULT_SEED, GammaIrrep, MinusIrrep, cluster_eigenvalues,
+                   fold_frequency, gamma_irreps_in, isotypic_multiplicity,
+                   maximal_orbit_types, minus_irrep, split_ids,
+                   time_irrep_indices, time_irreps, trivial_gamma_irrep)
 
 
 # ---------------------------------------------------------------------------
@@ -98,19 +97,22 @@ def validate_problem(config: ProblemConfig) -> None:
 
 @dataclass(eq=False)
 class SymmetryContext:
+    """The ambient group, its lattice and irreps.
+
+    minus[i, l] is the sign-twisted irrep of dihedral index i and spatial
+    irrep l, built once per context.
+    """
+
     config: ProblemConfig
     group: FiniteGroup
     poset: SubgroupPoset
     gamma_action: PermutationAction | None
     gamma_irreps: tuple[GammaIrrep, ...]
+    minus: dict[tuple[int, int], MinusIrrep]
 
     @property
     def m(self) -> int:
         return self.config.m
-
-    def minus(self, time_index: int, gamma_index: int) -> MinusIrrep:
-        return minus_irrep(self.group, self.gamma_irreps[gamma_index],
-                           time_irrep(self.m, time_index))
 
 
 def build_symmetry_context(config: ProblemConfig) -> SymmetryContext:
@@ -139,7 +141,10 @@ def build_symmetry_context(config: ProblemConfig) -> SymmetryContext:
         group = direct_product(gamma_group, base,
                                name=f"{gamma_group.name} x ({base.name})")
         irreps = tuple(gamma_irreps_in(action, seed=config.seed))
-    return SymmetryContext(config, group, subgroup_poset(group), action, irreps)
+    minus = {(t.index, l): minus_irrep(group, gamma, t)
+             for t in time_irreps(config.m) for l, gamma in enumerate(irreps)}
+    return SymmetryContext(config, group, subgroup_poset(group), action,
+                           irreps, minus)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +162,6 @@ class EigenvalueEntry:
 class SpectralTable:
     eigenvalues: list[EigenvalueEntry]
     negative_lambdas: list[tuple[int, float, float]] = field(default_factory=list)
-    jmax: dict[float, int] = field(default_factory=dict)
-    beta: dict[tuple[int, float], int] = field(default_factory=dict)
     eta: dict[int, int] = field(default_factory=dict)
     rho: dict[int, int] = field(default_factory=dict)
 
@@ -198,18 +201,12 @@ def matrix_spectrum(config: ProblemConfig,
     # every cluster mean below must stay finite
     if not math.isfinite(float(np.abs(w).max()) * len(w)):
         raise ValidationError("eigenvalues of A exceed the floating-point range")
-    scale = max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
-    ctol = CLUSTER_TOL * scale
-    splits = []
-    for t in range(1, len(w)):
-        gap = w[t] - w[t - 1]
-        if gap > ctol:
-            if gap < 10.0 * ctol:
-                raise ValidationError("eigenvalue clustering is ambiguous "
-                                      f"near {w[t]:.6e}; supply exact data")
-            splits.append(t)
+    blocks, near = cluster_eigenvalues(w)
+    if near is not None:
+        raise ValidationError("eigenvalue clustering is ambiguous "
+                              f"near {near:.6e}; supply exact data")
     entries = []
-    for idx in np.split(np.arange(len(w)), splits):
+    for idx in blocks:
         mu = float(np.mean(w[idx]))
         mult = len(idx)
         if ctx.gamma_action is None:
@@ -246,55 +243,19 @@ def check_nondegeneracy(table: SpectralTable, m: int,
     return out
 
 
-def j_max(mu: float, m: int, tol: float = 1e-9) -> int:
-    """Largest j with lambda(j, mu) < 0, i.e. j^2 < -m^2 mu < (j+1)^2."""
-    q = -m * m * float(mu)
-    if q <= 0:
-        raise ValidationError("j_max needs a negative eigenvalue")
-    j = math.isqrt(int(q))
-    while (j + 1) ** 2 < q:
-        j += 1
-    while j >= 0 and j * j >= q:
-        j -= 1
-    for jj in (j, j + 1):
-        if abs(jj * jj - q) <= tol * m * m:
-            raise ValidationError("assumption (A5) violated: frequency "
-                                  f"{jj} sits on the boundary of the "
-                                  f"negative spectrum for mu={mu!r}")
-    return j
-
-
-def count_beta_eta_rho(table: SpectralTable, m: int) -> SpectralTable:
+def count_eta_rho(table: SpectralTable, m: int) -> SpectralTable:
     """Per-irrep occurrence counters over the negative spectrum.
 
-    beta[i, mu] counts how many frequencies j <= jmax(mu) fold onto the
-    dihedral irrep index i, weighted by the total multiplicity of mu;
-    eta sums over mu; rho groups planar eta's by gcd with m, because
-    basic degrees coincide exactly on those gcd classes.
+    eta[i] counts the negative blocks (j, mu) whose frequency j folds onto
+    the dihedral irrep index i, each weighted by the multiplicity of mu;
+    rho groups planar eta's by gcd with m, because basic degrees coincide
+    exactly on those gcd classes.
     """
-    s = (m + 1) // 2
     indices = time_irrep_indices(m)
-    table.beta = {}
-    for e in table.eigenvalues:
-        if e.mu not in table.jmax:
-            continue
-        q, a = divmod(table.jmax[e.mu], m)
-        mult = e.mult
-        table.beta[(0, e.mu)] = (q + 1) * mult
-        table.beta[(s, e.mu)] = q * mult
-        if m % 2 == 0:
-            high = (q + 1) * mult if 2 * a >= m else q * mult
-            table.beta[(s + 1, e.mu)] = high
-            table.beta[(s + 2, e.mu)] = high
-        for i in range(1, (m + 1) // 2):
-            if a < i:
-                table.beta[(i, e.mu)] = 2 * q * mult
-            elif a < m - i:
-                table.beta[(i, e.mu)] = (2 * q + 1) * mult
-            else:
-                table.beta[(i, e.mu)] = 2 * (q + 1) * mult
-    table.eta = {i: sum(table.beta.get((i, e.mu), 0)
-                        for e in table.eigenvalues) for i in indices}
+    table.eta = dict.fromkeys(indices, 0)
+    for j, mu, _lam in table.negative_lambdas:
+        for i in fold_frequency(j, m):
+            table.eta[i] += table.entry(mu).mult
     table.rho = {}
     for i in indices:
         if 0 < i < m / 2:
@@ -318,14 +279,12 @@ def spectral_table(config: ProblemConfig, ctx: SymmetryContext) -> SpectralTable
                               f"linearization, lambda(j, mu) = 0 at j={j}, "
                               f"mu={mu!r}")
     m = config.m
-    for e in table.eigenvalues:
-        if e.mu < 0:
-            table.jmax[e.mu] = j_max(e.mu, m, config.tolerance)
-    table.negative_lambdas = [
-        (j, e.mu, float(lambda_value(j, e.mu, m)))
-        for e in table.eigenvalues if e.mu in table.jmax
-        for j in range(table.jmax[e.mu] + 1)]
-    return count_beta_eta_rho(table, m)
+    for e in table.eigenvalues:   # the negative blocks: j^2 < -m^2 mu
+        j = 0
+        while j * j < -m * m * e.mu:
+            table.negative_lambdas.append((j, e.mu, float(lambda_value(j, e.mu, m))))
+            j += 1
+    return count_eta_rho(table, m)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +298,7 @@ def eigenspace_character(ctx: SymmetryContext, j: int,
         if mult == 0:
             continue
         for i in fold_frequency(j, ctx.m):
-            total += mult * ctx.minus(i, l).character
+            total += mult * ctx.minus[i, l].character
     return total
 
 
@@ -353,7 +312,7 @@ def ambient_character(ctx: SymmetryContext) -> np.ndarray:
     total = np.zeros(ctx.group.order)
     for i in time_irrep_indices(ctx.m):
         for l in range(len(ctx.gamma_irreps)):
-            total += ctx.minus(i, l).character
+            total += ctx.minus[i, l].character
     return total
 
 
@@ -392,7 +351,6 @@ def interpret(ctx: SymmetryContext, degree: BurnsideElement,
     if maximal_indices is None:
         maximal_indices = maximal_orbit_types(poset, ambient_character(ctx))
     m = ctx.m
-    nb = 4 * m
     time_ids = [2 * b for b in range(2 * m)]
     out = []
     for i in sorted(set(int(x) for x in maximal_indices), reverse=True):
@@ -402,8 +360,8 @@ def interpret(ctx: SymmetryContext, degree: BurnsideElement,
         cls = poset.classes[i]
         contains_time = any(bool(mask[time_ids].all())
                             for mask in cls.orbit_masks)
-        rem = cls.ids % nb
-        flips = (rem % 2 == 1) & (rem // 2 != 0)
+        _gamma, d, e = split_ids(cls.ids, m)
+        flips = (e == 1) & (d != 0)
         out.append(SolutionGuarantee(cls.name, poset.group.order // cls.order,
                                      not contains_time, bool(flips.any())))
     return out

@@ -1,9 +1,9 @@
 """Slow reference implementations used to cross-check the library.
 
 Everything here trades speed for obviousness: brute-force subset closures,
-direct orbit counting, elementwise definitions, closed forms, explicit
-representation matrices and random sampling.  Tests compare library
-output against these on small groups.
+full axiom checks, direct orbit counting, elementwise definitions, closed
+forms, explicit representation matrices and random sampling.  Tests
+compare library output against these on small groups.
 """
 
 from __future__ import annotations
@@ -18,10 +18,68 @@ from eqdeg.bifurcation import CriticalPoint
 from eqdeg.burnside import BurnsideElement
 from eqdeg.degrees import degree_for_character
 from eqdeg.errors import ValidationError
-from eqdeg.groups import FiniteGroup, product_components
+from eqdeg.groups import FiniteGroup, PermutationAction, Product
 from eqdeg.lattice import SubgroupPoset
 from eqdeg.reps import DEFAULT_SEED, MinusIrrep
 from eqdeg.spectral import SpectralTable, SymmetryContext, eigenspace_character
+
+
+def validate_group(group: FiniteGroup) -> None:
+    """Full axiom check: Latin square, identity, inverses, associativity."""
+    n = group.order
+    t = group.table
+    if t.min() < 0 or t.max() >= n:
+        raise ValidationError(f"{group.name}: table entries out of range")
+    ident = np.arange(n, dtype=np.int32)
+    if not (np.array_equal(t[0], ident) and np.array_equal(t[:, 0], ident)):
+        raise ValidationError(f"{group.name}: id 0 is not an identity")
+    if not np.all(np.sort(t, axis=1) == ident[None, :]):
+        raise ValidationError(f"{group.name}: a row is not a permutation")
+    if not np.all(np.sort(t, axis=0) == ident[:, None]):
+        raise ValidationError(f"{group.name}: a column is not a permutation")
+    if np.any(group.inverse < 0):
+        raise ValidationError(f"{group.name}: some element has no inverse")
+    if not np.array_equal(t[ident, group.inverse], np.zeros(n, dtype=np.int32)):
+        raise ValidationError(f"{group.name}: inverse table inconsistent")
+    for a in range(n):
+        left = t[t[a, :], :]          # (a b) c
+        right = t[a, t]               # a (b c)
+        if not np.array_equal(left, right):
+            raise ValidationError(f"{group.name}: associativity fails at a={a}")
+
+
+def validate_action(action: PermutationAction) -> None:
+    """Identity acts trivially, every image is a permutation, g h acts as g after h."""
+    n, k = action.group.order, action.degree
+    pts = np.arange(k, dtype=np.int32)
+    if not np.array_equal(action.images[0], pts):
+        raise ValidationError("action: identity does not act trivially")
+    for g in range(n):
+        if not np.array_equal(np.sort(action.images[g]), pts):
+            raise ValidationError(f"action: element {g} is not a permutation")
+    for g in range(n):
+        # composed[h] = images[g][images[h]] must equal images[g*h]
+        composed = action.images[g][action.images]
+        if not np.array_equal(composed, action.images[action.group.table[g]]):
+            raise ValidationError(f"action: homomorphism fails at g={g}")
+
+
+def product_components(group: FiniteGroup, g: int) -> tuple[int, int]:
+    """(a, b) with g = id(a, b) in a direct product."""
+    if not isinstance(group.structure, Product):
+        raise ValidationError("product_components needs a product group")
+    nb = group.structure.right.order
+    return g // nb, g % nb
+
+
+def index_of_subgroup(poset: SubgroupPoset, ids) -> int:
+    """Class of the subgroup with these ids, by its membership mask."""
+    mask = np.zeros(poset.group.order, dtype=bool)
+    mask[np.asarray(list(ids), dtype=np.intp)] = True
+    for cls in poset.classes:
+        if (cls.orbit_masks == mask).all(axis=1).any():
+            return cls.index
+    raise ValidationError("not a subgroup of this lattice's group")
 
 
 def closure(group: FiniteGroup, seed: set[int]) -> frozenset[int]:
@@ -233,7 +291,7 @@ def multiply_oracle(poset: SubgroupPoset, i: int, j: int) -> BurnsideElement:
                 continue
             stab_mask = (act_h[:, a] == a) & (act_k[:, b] == b)
             stab = np.nonzero(stab_mask)[0].astype(np.int32)
-            cls = poset.index_of_subgroup(stab)
+            cls = index_of_subgroup(poset, stab)
             coeffs[cls] = coeffs.get(cls, 0) + 1
             seen[act_h[:, a], act_k[:, b]] = True
     return BurnsideElement(poset, coeffs)
@@ -292,6 +350,30 @@ def closed_form_basic_degree(poset: SubgroupPoset, m: int,
     return BurnsideElement(poset, coeffs)
 
 
+def closed_form_eta(m: int, jmax: int, mult: int) -> dict[int, int]:
+    """eta over one eigenvalue whose negative blocks are j = 0..jmax.
+
+    Counts the fold of each frequency without listing them: with
+    jmax = q m + a, the trivial index gets q + 1 blocks, the index s
+    q, the half-period pair (even m) q + 1 when 2 a >= m, and the planar
+    index i gets 2q, 2q + 1 or 2(q + 1) blocks as a < i, i <= a < m - i
+    or a >= m - i; each block counts mult times.
+    """
+    s = (m + 1) // 2
+    q, a = divmod(jmax, m)
+    eta = {0: (q + 1) * mult, s: q * mult}
+    if m % 2 == 0:
+        eta[s + 1] = eta[s + 2] = (q + 1) * mult if 2 * a >= m else q * mult
+    for i in range(1, (m + 1) // 2):
+        if a < i:
+            eta[i] = 2 * q * mult
+        elif a < m - i:
+            eta[i] = (2 * q + 1) * mult
+        else:
+            eta[i] = 2 * (q + 1) * mult
+    return eta
+
+
 def isotropy_oracle(poset: SubgroupPoset,
                     irreps: list[MinusIrrep],
                     samples: int = 40,
@@ -320,7 +402,7 @@ def isotropy_oracle(poset: SubgroupPoset,
             return
         moved = mats @ vec
         fixed = np.linalg.norm(moved - vec[None, :], axis=1) < 1e-8
-        found.add(poset.index_of_subgroup(np.nonzero(fixed)[0]))
+        found.add(index_of_subgroup(poset, np.nonzero(fixed)[0]))
 
     for _ in range(samples):
         classify(rng.standard_normal(total))

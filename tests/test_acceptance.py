@@ -88,7 +88,7 @@ def test_criterion_04_involutions(ctx_m3):
     unit = BurnsideElement.unit(ctx_m3.poset)
     for i in time_irrep_indices(3):
         for l in range(len(ctx_m3.gamma_irreps)):
-            d = basic_degree(ctx_m3.poset, ctx_m3.minus(i, l))
+            d = basic_degree(ctx_m3.poset, ctx_m3.minus[i, l])
             if d * d != unit:
                 bad.append(("product", i, l))
     _report(4, not bad, f"non-involutive degrees at {bad}")
@@ -171,8 +171,8 @@ def test_criterion_08_maximal_orbit_types(ctx_m3, ctx_m4):
     signvec = np.where(np.arange(ctx_m4.group.order) // nb < 3, 1.0, -1.0)
     char = np.zeros(ctx_m4.group.order)
     for i in time_irrep_indices(m):
-        char += ctx_m4.minus(i, 0).character + ctx_m4.minus(i, 1).character
-        char += signvec * ctx_m4.minus(i, 0).character
+        char += ctx_m4.minus[i, 0].character + ctx_m4.minus[i, 1].character
+        char += signvec * ctx_m4.minus[i, 0].character
     names = {ctx_m4.poset.classes[i].name
              for i in maximal_orbit_types(ctx_m4.poset, char)}
     required4 = {"D3 x D2^d", "D3 x ~D2^d", "D3^{Z3} x_{Z2}^{D4} D4^p",
@@ -233,7 +233,7 @@ def test_criterion_10_trivial_symmetry_maximal_types():
         ctx = build_symmetry_context(cfg)
         char = np.zeros(ctx.group.order)
         for i in time_irrep_indices(m):
-            char += ctx.minus(i, 0).character
+            char += ctx.minus[i, 0].character
         found = {ctx.poset.classes[i].name
                  for i in maximal_orbit_types(ctx.poset, char)}
         if found != lemma_list(m):
@@ -250,7 +250,7 @@ def test_criterion_11_bifurcation_fixtures(ctx_m3):
         if not any(abs(a - target) <= 1e-9 for a in alphas):
             problems.append(f"no critical value near {target}")
     unit = BurnsideElement.unit(ctx_m3.poset)
-    first = unit - basic_degree(ctx_m3.poset, ctx_m3.minus(0, 0))
+    first = unit - basic_degree(ctx_m3.poset, ctx_m3.minus[0, 0])
     if inv[0].omega != first:
         problems.append("omega at the first crossing is not (G) - deg V_{0,0}")
     if inv[2].omega != -inv[1].omega:
@@ -281,7 +281,7 @@ def test_criterion_12_property_suite(ctx_m3):
         if unit * x != x:
             problems.append("unit")
 
-    irreps = [ctx_m3.minus(i, l)
+    irreps = [ctx_m3.minus[i, l]
               for i in time_irrep_indices(3) for l in range(2)]
     for _ in range(3):
         mults = rng.integers(0, 3, size=len(irreps))

@@ -45,7 +45,7 @@ def test_first_invariant_is_unit_minus_first_block(m3_data):
     points = critical_values(ctx, table)
     inv = local_invariant(ctx, table, points[0])
     direct = BurnsideElement.unit(ctx.poset) - degree_for_character(
-        ctx.poset, ctx.minus(0, 0).character)
+        ctx.poset, ctx.minus[0, 0].character)
     assert inv.omega == direct
     assert inv.omega.to_pairs() == [("D3 x D3", 1)]
 
@@ -137,3 +137,17 @@ def test_shortcut_cross_check_runs_in_report(m3_data):
         if inv.odd_crossing:
             assert inv.nonzero
         assert inv.nonzero == bool(inv.branch_types)
+
+
+def test_report_merges_with_the_tolerance_of_its_config():
+    # the context was built at the default tolerance; the report must
+    # still merge critical values at the tolerance it is given
+    spectrum = ((Fraction(-1), 1), (Fraction(-199, 200), 1))
+    cfg = ProblemConfig(m=3, k=2, spectrum=spectrum, tolerance=1e-2)
+    shared = build_symmetry_context(ProblemConfig(m=3, k=2, spectrum=spectrum))
+    own = bifurcation_report(cfg)
+    assert len(own.invariants) == 3
+    assert [(inv.point.contributions, inv.branch_types)
+            for inv in bifurcation_report(cfg, shared).invariants] == \
+        [(inv.point.contributions, inv.branch_types) for inv in own.invariants]
+

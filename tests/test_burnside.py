@@ -83,7 +83,7 @@ def test_oracle_against_pure_python_orbit_count(pd3):
             k = frozenset(int(x) for x in pd3.classes[j].ids)
             subs = oracles.brute_force_subgroups(g, max_gens=2)
             raw = oracles.burnside_product_by_orbit_count(g, h, k, subs)
-            expected = {pd3.index_of_subgroup(rep): c for rep, c in raw.items()}
+            expected = {oracles.index_of_subgroup(pd3, rep): c for rep, c in raw.items()}
             got = multiply_oracle(pd3, i, j)
             assert got.coeffs == expected
 

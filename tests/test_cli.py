@@ -1,7 +1,9 @@
 """Command-line interface: validation, determinism, golden reports."""
 
 import hashlib
+import importlib
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -273,3 +275,25 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, check=False)
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "m3_existence.txt").read_text()
+
+
+def test_traced_cli_run_keeps_the_benchmark_contract(tmp_path, monkeypatch):
+    # perfbench --trace 1 wraps package functions by module and name from
+    # outside; a rename or removal there breaks the traced runs
+    spans = tmp_path / "spans.json"
+    path = os.pathsep.join([str(REPO / "src"), str(REPO / "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "cli_traced.py"),
+         str(spans), "0", "existence", str(CONFIGS / "m3_d3.json")],
+        capture_output=True, text=True, check=False, cwd=REPO,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "m3_existence.txt").read_text()
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    dump = json.loads(spans.read_text())
+    assert tracer.nesting_errors(dump["spans"]) == []
+    assert any(layer == "lattice" and order == 72
+               for layer, *_times, order in dump["spans"])
+    assert dump["counts"]["lattice.classes"] == 69
+

@@ -43,7 +43,7 @@ def test_basic_degrees_are_involutions(m):
 
 def test_involution_holds_for_four_dimensional_irrep(ctx_m3):
     # planar gamma factor tensored with a planar dihedral factor
-    irr = ctx_m3.minus(1, 1)
+    irr = ctx_m3.minus[1, 1]
     assert irr.dim == 4
     d = basic_degree(ctx_m3.poset, irr)
     assert d * d == BurnsideElement.unit(ctx_m3.poset)
@@ -69,9 +69,9 @@ def test_character_length_is_checked(ctx_m3):
 
 def test_summed_character_equals_degree_product(ctx_m3):
     # one solve on the sum vs the product of basic degrees
-    chars = [ctx_m3.minus(0, 1).character,
-             ctx_m3.minus(1, 0).character,
-             ctx_m3.minus(2, 0).character]
+    chars = [ctx_m3.minus[0, 1].character,
+             ctx_m3.minus[1, 0].character,
+             ctx_m3.minus[2, 0].character]
     summed = degree_for_character(ctx_m3.poset, sum(chars))
     product = BurnsideElement.unit(ctx_m3.poset)
     for c in chars:

@@ -15,10 +15,10 @@ from eqdeg.groups import (
     make_permutation_group,
     make_sign_group,
     make_trivial,
-    product_components,
 )
 
-from .oracles import closure
+from .oracles import (closure, product_components, validate_action,
+                      validate_group)
 
 
 SMALL_GROUPS = [
@@ -38,7 +38,7 @@ SMALL_GROUPS = [
 
 @pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda g: g.name)
 def test_axioms(group):
-    group.validate()
+    validate_group(group)
 
 
 @pytest.mark.parametrize("group", SMALL_GROUPS, ids=lambda g: g.name)
@@ -65,8 +65,7 @@ def test_element_orders_d4():
 
 def test_dihedral_rotation_action_is_homomorphism():
     for n in (1, 2, 3, 4, 6, 12):
-        act = dihedral_rotation_action(make_dihedral(n))
-        act.validate()
+        validate_action(dihedral_rotation_action(make_dihedral(n)))
 
 
 def test_action_matrices_multiply():
@@ -82,8 +81,8 @@ def test_permutation_group_closure_order():
     flip = [0, 4, 3, 2, 1]
     group, act = make_permutation_group(5, [cycle, flip])
     assert group.order == 10
-    act.validate()
-    group.validate()
+    validate_action(act)
+    validate_group(group)
 
 
 def test_permutation_group_symmetric_3():

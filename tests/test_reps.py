@@ -159,7 +159,7 @@ def test_fixed_point_dim_integrality_guard():
 
 def test_fixed_dims_match_fixed_point_dim(ctx_m3):
     poset = ctx_m3.poset
-    char = sum(ctx_m3.minus(i, l).character for i in (0, 1, 2) for l in (0, 1))
+    char = sum(ctx_m3.minus[i, l].character for i in (0, 1, 2) for l in (0, 1))
     assert fixed_dims(poset, char).tolist() == \
         [fixed_point_dim(char, c.ids) for c in poset.classes]
     with pytest.raises(ValidationError):

@@ -1,5 +1,7 @@
 """Spectral pipeline: spectra, counters, degrees, guarantees, parities."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,18 +12,17 @@ from hypothesis import strategies as st
 from eqdeg.burnside import BurnsideElement
 from eqdeg.degrees import basic_degree, degree_for_character
 from eqdeg.errors import InputError, ValidationError
-from eqdeg.reps import (fixed_dims, fold_frequency, maximal_orbit_types,
-                        time_irrep_indices)
+from eqdeg.reps import fixed_dims, maximal_orbit_types, time_irrep_indices
 from eqdeg.spectral import (EigenvalueEntry, GammaSpec, ProblemConfig,
                             SpectralTable, build_symmetry_context,
-                            check_nondegeneracy, count_beta_eta_rho,
+                            check_nondegeneracy, count_eta_rho,
                             eigenspace_character, existence_degree,
-                            interpret, j_max, lambda_value, matrix_spectrum,
+                            interpret, lambda_value, matrix_spectrum,
                             parity_predictions, spectral_table,
                             validate_problem)
 
 from .conftest import case_config
-from .oracles import fourier_mode_fixed_dims
+from .oracles import closed_form_eta, fourier_mode_fixed_dims
 
 SIGMA_M3 = [(0, -2, Fraction(-2)), (1, -2, Fraction(-17, 10)),
             (2, -2, Fraction(-14, 13)), (3, -2, Fraction(-1, 2)),
@@ -74,6 +75,27 @@ def test_action_degree_must_match_k():
                         a_matrix=tuple((0.0,) * 4 for _ in range(4)))
     with pytest.raises(ValidationError):
         build_symmetry_context(cfg)
+
+
+# ---------------------------------------------------------------------------
+# symmetry context
+
+def test_repeated_context_builds_keep_memory_flat():
+    # a sweep builds fresh groups each call; whatever is cached must stay bounded
+    cfg = case_config(4)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            build_symmetry_context(cfg)
+        gc.collect()
+        after_10 = tracemalloc.get_traced_memory()[0]
+        for _ in range(30):
+            build_symmetry_context(cfg)
+        gc.collect()
+        after_40 = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_40 - after_10 < 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +161,7 @@ def test_noncommuting_matrix_rejected():
 
 
 # ---------------------------------------------------------------------------
-# lambda, j_max, nondegeneracy
+# lambda, negative blocks, nondegeneracy
 
 def test_lambda_value_is_exact_on_fractions():
     assert lambda_value(3, Fraction(-2), 3) == Fraction(-1, 2)
@@ -152,17 +174,16 @@ def test_lambda_value_is_exact_on_fractions():
     (-2.0, 6, 8), (-0.5, 6, 4),
 ])
 def test_j_max_values(mu, m, expected):
-    assert j_max(mu, m) == expected
-
-
-def test_j_max_rejects_boundary():
-    with pytest.raises(ValidationError):
-        j_max(-1.0, 3)          # 3^2 = 9 = -m^2 mu exactly
+    # the negative blocks over mu are j = 0..j_max, j_max^2 < -m^2 mu
+    cfg = trivial_config(m, [(str(mu), 1)])
+    table = spectral_table(cfg, build_symmetry_context(cfg))
+    assert [j for j, _mu, _lam in table.negative_lambdas] == \
+        list(range(expected + 1))
 
 
 def test_j_max_needs_negative_eigenvalue():
-    with pytest.raises(ValidationError):
-        j_max(0.25, 3)
+    cfg = trivial_config(3, [("1/4", 1)])
+    assert spectral_table(cfg, build_symmetry_context(cfg)).negative_lambdas == []
 
 
 def test_nondegeneracy_scan_finds_zero_lambda():
@@ -211,25 +232,26 @@ def test_eta_anchors(ctx_m3, ctx_m4):
     assert t4.eta == {0: 4, 1: 5, 2: 1, 3: 3, 4: 3}
 
 
+def blocks_up_to(jmax, mult=1):
+    """Table of one eigenvalue -1 whose negative blocks are j = 0..jmax."""
+    table = SpectralTable(eigenvalues=[EigenvalueEntry(-1.0, mult, (mult,))])
+    table.negative_lambdas = [(j, -1.0, 0.0) for j in range(jmax + 1)]
+    return table
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.integers(min_value=2, max_value=12),
        st.integers(min_value=0, max_value=24),
        st.integers(min_value=1, max_value=3))
 def test_beta_counts_match_fold_oracle(m, jm, mult):
-    table = SpectralTable(eigenvalues=[EigenvalueEntry(-1.0, mult, (mult,))])
-    table.jmax = {-1.0: jm}
-    count_beta_eta_rho(table, m)
-    for i in time_irrep_indices(m):
-        expected = mult * sum(1 for j in range(jm + 1)
-                              if i in fold_frequency(j, m))
-        assert table.beta[(i, -1.0)] == expected
-        assert table.eta[i] == expected
+    table = blocks_up_to(jm, mult)
+    count_eta_rho(table, m)
+    assert table.eta == closed_form_eta(m, jm, mult)
 
 
 def test_rho_groups_planar_indices_by_gcd():
-    table = SpectralTable(eigenvalues=[EigenvalueEntry(-1.0, 1, (1,))])
-    table.jmax = {-1.0: 7}
-    count_beta_eta_rho(table, 10)
+    table = blocks_up_to(7)
+    count_eta_rho(table, 10)
     eta = table.eta
     assert table.rho[1] == table.rho[3] == eta[1] + eta[3]
     assert table.rho[2] == table.rho[4] == eta[2] + eta[4]
@@ -324,7 +346,7 @@ def test_product_part_involution_and_parity_reduction():
     reduced = unit
     for i in time_irrep_indices(6):
         if report.table.eta[i] % 2:
-            reduced = reduced * basic_degree(ctx.poset, ctx.minus(i, 0))
+            reduced = reduced * basic_degree(ctx.poset, ctx.minus[i, 0])
     assert report.product_part == reduced
 
 
@@ -342,9 +364,8 @@ def test_parity_predictions_m6():
 
 def test_parity_predictions_dyadic_pair():
     # eta odd at the planar index 1 = 4/2^2 forces both twisted classes
-    table = SpectralTable(eigenvalues=[EigenvalueEntry(-1.0, 1, (1,))])
-    table.jmax = {-1.0: 1}
-    count_beta_eta_rho(table, 4)
+    table = blocks_up_to(1)
+    count_eta_rho(table, 4)
     assert table.rho[1] % 2 == 1
     preds = parity_predictions(table, 4)
     flat = [p.candidates for p in preds]
@@ -366,7 +387,7 @@ def test_maximal_orbit_types_trivial_symmetry():
         ctx = build_symmetry_context(cfg)
         char = np.zeros(ctx.group.order)
         for i in time_irrep_indices(m):
-            char += ctx.minus(i, 0).character
+            char += ctx.minus[i, 0].character
         found = {ctx.poset.classes[i].name
                  for i in maximal_orbit_types(ctx.poset, char)}
         assert found == names, m
