@@ -37,10 +37,10 @@ import numpy as np
 
 from .burnside import BurnsideElement
 from .errors import ValidationError
-from .reps import fixed_dims, fold_frequency
+from .groups import frequency_count
 from .spectral import (EigenvalueEntry, ProblemConfig, SpectralTable,
-                       SymmetryContext, build_symmetry_context,
-                       eigenspace_character, matrix_spectrum)
+                       SymmetryContext, block_dims, block_terms,
+                       build_symmetry_context, matrix_spectrum)
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,8 @@ def critical_values(ctx: SymmetryContext, table: SpectralTable,
     m = ctx.m
     raw: list[tuple[float, int, EigenvalueEntry, Fraction | None]] = []
     for e in table.eigenvalues:
+        frequency_count(m * m * (hi - e.mu),
+                        f"critical values below {hi!r} at mu={e.mu!r}")
         j = 0
         while e.mu + j * j / (m * m) < hi:
             alpha = e.mu + j * j / (m * m)
@@ -115,12 +117,9 @@ def _merge(ctx: SymmetryContext,
     group = sorted(group, key=lambda t: (t[2].mu, t[1]))
     mults: dict[str, int] = {}
     for _alpha, j, entry, _ex in group:
-        for l, gmult in enumerate(entry.gamma_mults):
-            if gmult == 0:
-                continue
-            for i in fold_frequency(j, ctx.m):
-                label = ctx.minus[i, l].label
-                mults[label] = mults.get(label, 0) + gmult
+        for i, l, gmult in block_terms(ctx.m, j, entry):
+            label = ctx.minus[i, l].label
+            mults[label] = mults.get(label, 0) + gmult
     simple = len(group) == 1 and group[0][2].mult == 1
     exacts = {ex for *_xs, ex in group}
     exact = exacts.pop() if len(exacts) == 1 else None
@@ -148,6 +147,10 @@ def _walk(ctx: SymmetryContext, table: SpectralTable,
     if tol is None:
         tol = ctx.config.tolerance
     m = ctx.m
+    if points:   # the prefix stays below the last point
+        for e in table.eigenvalues:
+            frequency_count(m * m * (points[-1].alpha - e.mu),
+                            f"prefix below {points[-1].alpha!r} at mu={e.mu!r}")
     prefix = np.zeros(len(ctx.poset), dtype=np.int64)
     next_j = [0] * len(table.eigenvalues)
     out = []
@@ -158,11 +161,11 @@ def _walk(ctx: SymmetryContext, table: SpectralTable,
         for t, e in enumerate(table.eigenvalues):
             j = next_j[t]
             while e.mu + j * j / (m * m) < point.alpha - tol:
-                prefix += fixed_dims(ctx.poset, eigenspace_character(ctx, j, e))
+                prefix += block_dims(ctx, j, e)
                 j += 1
             next_j[t] = j
-        block = fixed_dims(ctx.poset, sum(eigenspace_character(ctx, j, table.entry(mu))
-                                          for j, mu in point.contributions))
+        block = sum(block_dims(ctx, j, table.entry(mu))
+                    for j, mu in point.contributions)
         # marks of prefix_degree * ((G) - block_degree)
         omega = BurnsideElement.from_marks(
             ctx.poset, (1 - 2 * (prefix % 2)) * (2 * (block % 2)))

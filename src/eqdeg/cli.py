@@ -22,9 +22,7 @@ from fractions import Fraction
 
 from .bifurcation import bifurcation_report
 from .burnside import BurnsideElement
-from .degrees import basic_degree
 from .errors import EqdegError, InputError, ValidationError
-from .reps import time_irrep_indices
 from .spectral import (GammaSpec, ProblemConfig, SymmetryContext,
                        build_symmetry_context, existence_degree,
                        parity_predictions)
@@ -174,12 +172,10 @@ def group_info_doc(ctx: SymmetryContext) -> dict:
 
 
 def basic_degrees_doc(ctx: SymmetryContext) -> dict:
-    rows = []
-    for i in time_irrep_indices(ctx.m):
-        for l in range(len(ctx.gamma_irreps)):
-            irr = ctx.minus[i, l]
-            rows.append({"label": irr.label, "dim": irr.dim,
-                         "degree": _degree_json(basic_degree(ctx.poset, irr))})
+    rows = [{"label": irr.label, "dim": irr.dim,
+             "degree": _degree_json(BurnsideElement.from_marks(
+                 ctx.poset, 1 - 2 * (ctx.dims[i, l] % 2)))}
+            for (i, l), irr in ctx.minus.items()]
     return {"verb": "basic-degrees", "group": _group_block(ctx),
             "degrees": rows}
 

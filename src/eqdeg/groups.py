@@ -10,6 +10,7 @@ instead of re-deriving structure from the table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,12 +20,27 @@ from .errors import ValidationError
 
 # Hard cap on materialized group order; direct products refuse to exceed it.
 MAX_GROUP_ORDER = 400
+# Hard cap on the frequencies j any loop visits over one eigenvalue.
+MAX_FREQUENCIES = 1000
 
 
 def check_order(order: int, what: str) -> None:
     """Refuse an order above the cap before any table is allocated."""
     if order > MAX_GROUP_ORDER:
         raise ValidationError(f"{what} order {order} exceeds cap {MAX_GROUP_ORDER}")
+
+
+def frequency_count(x: float, what: str) -> int:
+    """Number of frequencies j >= 0 with j^2 < x, refused above the cap.
+
+    Called before a loop over j, so that no loop outgrows the cap.
+    """
+    if not x > 0:
+        return 0
+    if x > MAX_FREQUENCIES ** 2:      # also an infinite x
+        raise ValidationError(f"{what}: frequencies over one eigenvalue exceed "
+                              f"cap MAX_FREQUENCIES = {MAX_FREQUENCIES}")
+    return math.isqrt(math.ceil(x) - 1) + 1
 
 
 # ---------------------------------------------------------------------------

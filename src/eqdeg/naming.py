@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ValidationError
 from .groups import Cyclic, Dihedral, FiniteGroup, Permutation, Product, Sign, Trivial
 

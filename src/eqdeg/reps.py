@@ -299,7 +299,10 @@ def minus_irrep(group: FiniteGroup, gamma: GammaIrrep, time: TimeIrrep) -> Minus
 # fixed points and orbit types
 
 def fixed_point_dim(character: np.ndarray, ids: np.ndarray) -> int:
-    """dim of the fixed subspace of the subgroup with these element ids."""
+    """dim of the fixed subspace of the subgroup with these element ids.
+
+    The independent route of tests and perfbench/checks.py to fixed_dims.
+    """
     raw = float(np.sum(character[ids])) / len(ids)
     nearest = round(raw)
     if abs(raw - nearest) > INTEGRALITY_TOL:
@@ -318,19 +321,17 @@ def fixed_dims(poset: SubgroupPoset, character: np.ndarray) -> np.ndarray:
     return nearest.astype(np.int64)
 
 
-def orbit_types_of_character(poset: SubgroupPoset,
-                             character: np.ndarray) -> list[int]:
-    """Classes realized as isotropy groups of nonzero vectors.
+def orbit_types(poset: SubgroupPoset, dims: np.ndarray) -> list[int]:
+    """Isotropy classes of the nonzero vectors of V, where dims[H] = dim V^H.
 
     (H) is an orbit type iff the H-fixed subspace is nonzero and strictly
     larger than the K-fixed subspace for every class (K) > (H): a real
     vector space is never a finite union of proper subspaces.
     """
-    dims = fixed_dims(poset, character)
     # row H counts the classes (K) >= (H) with dim V^K >= dim V^H; (H) is one
     not_smaller = (poset.leq & (dims[None, :] >= dims[:, None])).sum(axis=1)
     return np.flatnonzero((dims > 0) & (not_smaller == 1)).tolist()
 
 
-def maximal_orbit_types(poset: SubgroupPoset, character: np.ndarray) -> list[int]:
-    return poset.maximal_elements(orbit_types_of_character(poset, character))
+def maximal_orbit_types(poset: SubgroupPoset, dims: np.ndarray) -> list[int]:
+    return poset.maximal_elements(orbit_types(poset, dims))

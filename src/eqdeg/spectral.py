@@ -30,16 +30,17 @@ from fractions import Fraction
 import numpy as np
 
 from .burnside import BurnsideElement
-from .degrees import degree_for_character
 from .errors import InputError, ValidationError
 from .groups import (FiniteGroup, PermutationAction, check_order,
-                     dihedral_rotation_action, direct_product, make_dihedral,
-                     make_permutation_group, make_sign_group)
+                     dihedral_rotation_action, direct_product,
+                     frequency_count, make_dihedral, make_permutation_group,
+                     make_sign_group)
 from .lattice import SubgroupPoset, subgroup_poset
 from .reps import (DEFAULT_SEED, GammaIrrep, MinusIrrep, cluster_eigenvalues,
-                   fold_frequency, gamma_irreps_in, isotypic_multiplicity,
-                   maximal_orbit_types, minus_irrep, split_ids,
-                   time_irrep_indices, time_irreps, trivial_gamma_irrep)
+                   fixed_dims, fold_frequency, gamma_irreps_in,
+                   isotypic_multiplicity, maximal_orbit_types, minus_irrep,
+                   split_ids, time_irrep_indices, time_irreps,
+                   trivial_gamma_irrep)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,14 @@ def validate_problem(config: ProblemConfig) -> None:
     if config.spectrum is not None and config.gamma.type != "trivial":
         raise ValidationError("an exact spectrum cannot carry spatial "
                               "isotypic data; supply a_matrix instead")
+    seen: set[Fraction] = set()
+    for t, (mu, mult) in enumerate(config.spectrum or ()):
+        if mult < 1:
+            raise InputError(f"spectrum[{t}]: multiplicity {mult} is below 1")
+        if Fraction(mu) in seen:
+            raise InputError(f"spectrum[{t}]: eigenvalue {Fraction(mu)} is "
+                             "listed twice")
+        seen.add(Fraction(mu))
     if config.tolerance <= 0:
         raise ValidationError("tolerance must be positive")
     if config.seed < 0:
@@ -100,7 +109,9 @@ class SymmetryContext:
     """The ambient group, its lattice and irreps.
 
     minus[i, l] is the sign-twisted irrep of dihedral index i and spatial
-    irrep l, built once per context.
+    irrep l, and dims[i, l] its dim V^H for every class (H), built once
+    per context.  Each occurs in the function space, so maximal_types
+    are the maximal orbit types of the sum of all dims[i, l].
     """
 
     config: ProblemConfig
@@ -109,6 +120,8 @@ class SymmetryContext:
     gamma_action: PermutationAction | None
     gamma_irreps: tuple[GammaIrrep, ...]
     minus: dict[tuple[int, int], MinusIrrep]
+    dims: dict[tuple[int, int], np.ndarray]
+    maximal_types: list[int]
 
     @property
     def m(self) -> int:
@@ -143,8 +156,10 @@ def build_symmetry_context(config: ProblemConfig) -> SymmetryContext:
         irreps = tuple(gamma_irreps_in(action, seed=config.seed))
     minus = {(t.index, l): minus_irrep(group, gamma, t)
              for t in time_irreps(config.m) for l, gamma in enumerate(irreps)}
-    return SymmetryContext(config, group, subgroup_poset(group), action,
-                           irreps, minus)
+    poset = subgroup_poset(group)
+    dims = {key: fixed_dims(poset, irr.character) for key, irr in minus.items()}
+    return SymmetryContext(config, group, poset, action, irreps, minus, dims,
+                           maximal_orbit_types(poset, sum(dims.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +252,8 @@ def check_nondegeneracy(table: SpectralTable, m: int,
         if not math.isfinite(scaled):
             raise ValidationError("assumption (A5) cannot be checked: "
                                   f"m^2 mu overflows at mu={e.mu!r}")
-        for j in range(math.isqrt(int(max(-scaled, 0.0)) + 1) + 2):
+        top = frequency_count(-scaled, f"negative blocks at mu={e.mu!r}")
+        for j in range(top + 2):
             if abs(j * j / (m * m) + e.mu) <= tol:
                 out.append((j, e.mu))
     return out
@@ -280,39 +296,38 @@ def spectral_table(config: ProblemConfig, ctx: SymmetryContext) -> SpectralTable
                               f"mu={mu!r}")
     m = config.m
     for e in table.eigenvalues:   # the negative blocks: j^2 < -m^2 mu
-        j = 0
-        while j * j < -m * m * e.mu:
+        for j in range(frequency_count(-m * m * e.mu,
+                                       f"negative blocks at mu={e.mu!r}")):
             table.negative_lambdas.append((j, e.mu, float(lambda_value(j, e.mu, m))))
-            j += 1
     return count_eta_rho(table, m)
 
 
 # ---------------------------------------------------------------------------
 # degrees and interpretation
 
+def block_terms(m: int, j: int, entry: EigenvalueEntry):
+    """(i, l, multiplicity) of each irrep minus[i, l] in the (j, mu) block."""
+    for l, mult in enumerate(entry.gamma_mults):
+        if mult:
+            for i in fold_frequency(j, m):
+                yield i, l, mult
+
+
+def block_dims(ctx: SymmetryContext, j: int, entry: EigenvalueEntry) -> np.ndarray:
+    """dim V^H of the (j, mu) eigenspace for every class (H), in integers."""
+    return sum(mult * ctx.dims[i, l] for i, l, mult in block_terms(ctx.m, j, entry))
+
+
 def eigenspace_character(ctx: SymmetryContext, j: int,
                          entry: EigenvalueEntry) -> np.ndarray:
-    """Character of the (j, mu) eigenspace of the linearized operator."""
-    total = np.zeros(ctx.group.order)
-    for l, mult in enumerate(entry.gamma_mults):
-        if mult == 0:
-            continue
-        for i in fold_frequency(j, ctx.m):
-            total += mult * ctx.minus[i, l].character
-    return total
+    """Character of the (j, mu) eigenspace of the linearized operator.
 
-
-def ambient_character(ctx: SymmetryContext) -> np.ndarray:
-    """One copy of every irrep that occurs in the function space.
-
-    Every dihedral index occurs at some frequency and every spatial irrep
-    of R^k occurs in some eigenspace, so the maximal orbit types of the
-    full function space equal those of this finite sum.
+    Reports read block_dims; this float route stays as the independent
+    check of tests and perfbench/checks.py.
     """
     total = np.zeros(ctx.group.order)
-    for i in time_irrep_indices(ctx.m):
-        for l in range(len(ctx.gamma_irreps)):
-            total += ctx.minus[i, l].character
+    for i, l, mult in block_terms(ctx.m, j, entry):
+        total += mult * ctx.minus[i, l].character
     return total
 
 
@@ -349,7 +364,7 @@ def interpret(ctx: SymmetryContext, degree: BurnsideElement,
     """
     poset = ctx.poset
     if maximal_indices is None:
-        maximal_indices = maximal_orbit_types(poset, ambient_character(ctx))
+        maximal_indices = ctx.maximal_types
     m = ctx.m
     time_ids = [2 * b for b in range(2 * m)]
     out = []
@@ -373,19 +388,18 @@ def existence_degree(config: ProblemConfig,
     if ctx is None:
         ctx = build_symmetry_context(config)
     table = spectral_table(config, ctx)
-    total = np.zeros(ctx.group.order)
+    dims = np.zeros(len(ctx.poset), dtype=np.int64)
     for j, mu, _lam in table.negative_lambdas:
-        total += eigenspace_character(ctx, j, table.entry(mu))
-    product_part = degree_for_character(ctx.poset, total)
+        dims += block_dims(ctx, j, table.entry(mu))
+    product_part = BurnsideElement.from_marks(ctx.poset, 1 - 2 * (dims % 2))
     degree = BurnsideElement.unit(ctx.poset) - product_part
-    max_ot = maximal_orbit_types(ctx.poset, ambient_character(ctx))
-    guarantees = interpret(ctx, degree, max_ot)
+    guarantees = interpret(ctx, degree)
     return DegreeReport(
         degree=degree,
         product_part=product_part,
         nonzero_terms=degree.to_pairs(),
         maximal_orbit_types=[ctx.poset.classes[i].name
-                             for i in sorted(max_ot, reverse=True)],
+                             for i in sorted(ctx.maximal_types, reverse=True)],
         guarantees=guarantees,
         table=table,
         total_solutions=sum(g.orbit_size for g in guarantees))

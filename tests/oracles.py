@@ -380,7 +380,7 @@ def isotropy_oracle(poset: SubgroupPoset,
                     seed: int = DEFAULT_SEED) -> set[int]:
     """Isotropy classes met by random points of the direct sum of irreps.
 
-    Cross-checks orbit_types_of_character: every returned class is an
+    Cross-checks reps.orbit_types: every returned class is an
     orbit type, and with enough samples the generic strata all appear.
     Random vectors are drawn both globally and inside each class's fixed
     subspace so that non-principal strata are hit too.

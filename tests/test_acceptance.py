@@ -26,9 +26,9 @@ from eqdeg.burnside import BurnsideElement
 from eqdeg.degrees import basic_degree, degree_for_character
 from eqdeg.groups import direct_product, make_dihedral, make_sign_group
 from eqdeg.lattice import subgroup_poset
-from eqdeg.reps import (maximal_orbit_types, minus_irrep,
-                        orbit_types_of_character, time_irrep,
-                        time_irrep_indices, trivial_gamma_irrep)
+from eqdeg.reps import (fixed_dims, maximal_orbit_types, minus_irrep,
+                        orbit_types, time_irrep, time_irrep_indices,
+                        trivial_gamma_irrep)
 from eqdeg.spectral import (ProblemConfig, build_symmetry_context,
                             existence_degree, parity_predictions,
                             spectral_table)
@@ -174,7 +174,8 @@ def test_criterion_08_maximal_orbit_types(ctx_m3, ctx_m4):
         char += ctx_m4.minus[i, 0].character + ctx_m4.minus[i, 1].character
         char += signvec * ctx_m4.minus[i, 0].character
     names = {ctx_m4.poset.classes[i].name
-             for i in maximal_orbit_types(ctx_m4.poset, char)}
+             for i in maximal_orbit_types(ctx_m4.poset,
+                                          fixed_dims(ctx_m4.poset, char))}
     required4 = {"D3 x D2^d", "D3 x ~D2^d", "D3^{Z3} x_{Z2}^{D4} D4^p",
                  "D3 x D4^d", "D3 x D4^dh", "D3 x D4^z"}
     if not required4 <= names:
@@ -235,7 +236,8 @@ def test_criterion_10_trivial_symmetry_maximal_types():
         for i in time_irrep_indices(m):
             char += ctx.minus[i, 0].character
         found = {ctx.poset.classes[i].name
-                 for i in maximal_orbit_types(ctx.poset, char)}
+                 for i in maximal_orbit_types(ctx.poset,
+                                              fixed_dims(ctx.poset, char))}
         if found != lemma_list(m):
             bad.append((m, sorted(found)))
     _report(10, not bad, f"maximal-type mismatches {bad}")
@@ -295,7 +297,7 @@ def test_criterion_12_property_suite(ctx_m3):
             problems.append(f"multiplicativity at {mults.tolist()}")
 
     for r in irreps:
-        types = set(orbit_types_of_character(poset, r.character))
+        types = set(orbit_types(poset, fixed_dims(poset, r.character)))
         if isotropy_oracle(poset, [r]) != types:
             problems.append(f"isotropy oracle disagrees on {r.label}")
 

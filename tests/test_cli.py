@@ -118,12 +118,42 @@ def test_order_cap_is_checked_before_any_table(tmp_path, capsys, raw):
     assert "exceeds cap" in err
 
 
+@pytest.mark.parametrize("verb,raw", [
+    ("existence", {"m": 3, "k": 1, "A": [[-1e300]]}),
+    ("bifurcation", {"m": 3, "k": 1, "A": [[-1e300]]}),
+    ("bifurcation", {"m": 3, "k": 1, "A": [[-1]], "window": [-2, 1e20]}),
+])
+def test_frequency_cap_is_checked_before_looping(tmp_path, capsys, verb, raw):
+    # each of these once looped over about 1e150 or 1e10 frequencies
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, verb, str(cfg))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "exceed cap MAX_FREQUENCIES = 1000" in err
+
+
+@pytest.mark.parametrize("spectrum,where", [
+    ([["-1/2", 2], ["-1/2", 1]], "spectrum[1]"),
+    ([["-1/2", 2], [-0.5, 1]], "spectrum[1]"),
+    ([["-1/2", -1], ["-3/2", 2]], "spectrum[0]"),
+])
+def test_malformed_exact_spectrum_exits_1(tmp_path, capsys, spectrum, where):
+    cfg = tmp_path / "spectrum.json"
+    k = sum(mult for _mu, mult in spectrum)
+    cfg.write_text(json.dumps({"m": 3, "k": k, "spectrum": spectrum}))
+    for verb in ("existence", "bifurcation"):
+        code, out, err = run_cli(capsys, verb, str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {where}: ")
+
+
 SMALL = st.integers(-3, 3) | st.floats(-3, 3) | st.just("-1/2")
 BAD = st.sampled_from([float("nan"), float("inf"), "1e999", "1/0", "x", True,
                        None, [], 10**400])
-# huge negative eigenvalues and window ends are slow, not wrong (the critical
-# set grows with them), so huge values only enter as positive diagonal entries
-ENTRY = SMALL | BAD | st.sampled_from([1e308, 1e20])
+HUGE = st.sampled_from([1e308, 1e20, -1e20, -1e300])
+ENTRY = SMALL | BAD | HUGE
 KEYS = ["m", "k", "gamma", "A", "spectrum", "tolerance", "seed", "window"]
 
 
@@ -140,12 +170,16 @@ def configs(draw):
         del raw["A"]
         raw.update(gamma={"type": "trivial"}, spectrum=[[a[i][i], 1] for i in range(k)])
     for key in draw(st.sets(st.sampled_from(KEYS), max_size=2)):
-        raw[key] = draw(ENTRY | st.lists(SMALL | BAD, min_size=2, max_size=2))
+        raw[key] = draw(ENTRY | st.lists(SMALL | BAD | HUGE, min_size=2,
+                                         max_size=2))
     return raw
 
 
 @given(raw=configs(), verb=st.sampled_from(["existence", "bifurcation"]))
 @example(raw={"m": 3, "k": 1, "A": [[1e308]]}, verb="existence")
+@example(raw={"m": 3, "k": 1, "A": [[-1e300]]}, verb="bifurcation")
+@example(raw={"m": 3, "k": 1, "A": [[-1]], "window": [-2, 1e20]},
+         verb="bifurcation")
 @settings(max_examples=60, deadline=None)
 def test_any_config_exits_cleanly(tmp_path_factory, raw, verb):
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
@@ -257,6 +291,9 @@ def test_bifurcation_window_is_honored(capsys):
     ("existence", "m3_d3.json", "m3_existence"),
     ("existence", "m4_d3.json", "m4_existence"),
     ("bifurcation", "m3_bifurcation.json", "m3_bifurcation"),
+    ("group-info", "m3_d3.json", "m3_group_info"),
+    ("basic-degrees", "m6_trivial.json", "m6_basic_degrees"),
+    ("existence", "m6_trivial.json", "m6_existence"),
 ])
 def test_golden_reports(verb, config, name, capsys):
     code, out, _err = run_cli(capsys, verb, str(CONFIGS / config))

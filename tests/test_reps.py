@@ -22,7 +22,7 @@ from eqdeg.reps import (
     isotypic_multiplicity,
     maximal_orbit_types,
     minus_irrep,
-    orbit_types_of_character,
+    orbit_types,
     time_irrep,
     time_irreps,
     trivial_gamma_irrep,
@@ -181,10 +181,11 @@ def test_orbit_types_of_planar_minus_irrep():
     b = direct_product(make_dihedral(3), make_sign_group())
     poset = subgroup_poset(b)
     v1 = minus_irrep(b, trivial_gamma_irrep(), time_irrep(3, 1))
-    names = [poset.classes[i].name for i in orbit_types_of_character(poset, v1.character)]
+    dims = fixed_dims(poset, v1.character)
+    names = [poset.classes[i].name for i in orbit_types(poset, dims)]
     assert names == ["Z1", "D1", "D1^z"]
     maximal = [poset.classes[i].name
-               for i in maximal_orbit_types(poset, v1.character)]
+               for i in maximal_orbit_types(poset, dims)]
     assert maximal == ["D1", "D1^z"]
 
 
@@ -194,10 +195,11 @@ def test_isotropy_oracle_agrees_with_orbit_types():
     irreps = [minus_irrep(b, trivial_gamma_irrep(), time_irrep(3, i))
               for i in (0, 1, 2)]
     char = sum(r.character for r in irreps)
-    claimed = set(orbit_types_of_character(poset, char))
+    dims = fixed_dims(poset, char)
+    claimed = set(orbit_types(poset, dims))
     sampled = isotropy_oracle(poset, irreps)
     assert sampled <= claimed | {poset.top_index}
-    assert set(maximal_orbit_types(poset, char)) <= sampled
+    assert set(maximal_orbit_types(poset, dims)) <= sampled
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=30))

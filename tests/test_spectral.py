@@ -1,6 +1,9 @@
 """Spectral pipeline: spectra, counters, degrees, guarantees, parities."""
 
 import gc
+import json
+import pathlib
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -9,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eqdeg.bifurcation import bifurcation_report, critical_values
 from eqdeg.burnside import BurnsideElement
+from eqdeg.cli import basic_degrees_doc, validate_config
 from eqdeg.degrees import basic_degree, degree_for_character
 from eqdeg.errors import InputError, ValidationError
+from eqdeg.groups import MAX_FREQUENCIES, frequency_count
 from eqdeg.reps import fixed_dims, maximal_orbit_types, time_irrep_indices
 from eqdeg.spectral import (EigenvalueEntry, GammaSpec, ProblemConfig,
-                            SpectralTable, build_symmetry_context,
+                            SpectralTable, block_dims, build_symmetry_context,
                             check_nondegeneracy, count_eta_rho,
                             eigenspace_character, existence_degree,
                             interpret, lambda_value, matrix_spectrum,
@@ -23,6 +29,8 @@ from eqdeg.spectral import (EigenvalueEntry, GammaSpec, ProblemConfig,
 
 from .conftest import case_config
 from .oracles import closed_form_eta, fourier_mode_fixed_dims
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 SIGMA_M3 = [(0, -2, Fraction(-2)), (1, -2, Fraction(-17, 10)),
             (2, -2, Fraction(-14, 13)), (3, -2, Fraction(-1, 2)),
@@ -68,6 +76,18 @@ def test_rejects_unknown_gamma_type():
                         a_matrix=((1.0,),))
     with pytest.raises(InputError):
         validate_problem(cfg)
+
+
+@pytest.mark.parametrize("entries,where", [
+    ([("-1/2", 2), ("-1/2", 1)], r"spectrum\[1\]: eigenvalue -1/2 is listed twice"),
+    ([("-1/2", 2), (-0.5, 1)], r"spectrum\[1\]: eigenvalue -1/2 is listed twice"),
+    ([("-1/2", -1), ("-3/2", 2)], r"spectrum\[0\]: multiplicity -1"),
+    ([("-2", 1), ("-1/2", 0)], r"spectrum\[1\]: multiplicity 0"),
+])
+def test_rejects_repeated_eigenvalue_or_nonpositive_multiplicity(entries, where):
+    # a repeated exact eigenvalue once counted its first multiplicity per copy
+    with pytest.raises(InputError, match=where):
+        validate_problem(trivial_config(3, entries))
 
 
 def test_action_degree_must_match_k():
@@ -179,6 +199,22 @@ def test_j_max_values(mu, m, expected):
     table = spectral_table(cfg, build_symmetry_context(cfg))
     assert [j for j, _mu, _lam in table.negative_lambdas] == \
         list(range(expected + 1))
+
+
+@given(st.floats(-10.0, 5000.0))
+@settings(max_examples=200, deadline=None)
+def test_frequency_count_matches_the_loop(x):
+    j = 0
+    while j * j < x:
+        j += 1
+    assert frequency_count(x, "x") == j
+
+
+def test_frequency_count_refuses_more_than_the_cap():
+    assert frequency_count(MAX_FREQUENCIES ** 2, "x") == MAX_FREQUENCIES
+    for x in (MAX_FREQUENCIES ** 2 + 0.5, 1e300, float("inf")):
+        with pytest.raises(ValidationError, match="MAX_FREQUENCIES"):
+            frequency_count(x, "x")
 
 
 def test_j_max_needs_negative_eigenvalue():
@@ -389,7 +425,8 @@ def test_maximal_orbit_types_trivial_symmetry():
         for i in time_irrep_indices(m):
             char += ctx.minus[i, 0].character
         found = {ctx.poset.classes[i].name
-                 for i in maximal_orbit_types(ctx.poset, char)}
+                 for i in maximal_orbit_types(ctx.poset,
+                                              fixed_dims(ctx.poset, char))}
         assert found == names, m
 
 
@@ -398,3 +435,58 @@ def test_m3_maximal_orbit_types_of_function_space(ctx_m3):
     assert set(report.maximal_orbit_types) == {
         "D3 x D3", "D3 x D3^z",
         "D1 x_{Z2}^{D3} D3^p", "D1 x_{Z2}^{D3^z} D3^p"}
+
+
+# ---------------------------------------------------------------------------
+# the integer fixed-dimension table
+
+def _config(name):
+    if name == "doubled":   # an eigenvalue of multiplicity 2
+        return validate_config({"m": 4, "k": 3,
+                                "spectrum": [["-2", 2], ["-1/2", 1]]})
+    return validate_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("a character was summed after the context was built")
+
+
+@pytest.mark.parametrize("name", ["m3_d3", "m4_d3", "m6_trivial", "doubled"])
+def test_requests_after_the_context_stay_integer(name, monkeypatch):
+    config, window = _config(name)
+    ctx = build_symmetry_context(config)
+    expected = existence_degree(config, ctx).degree, basic_degrees_doc(ctx)
+    originals = (fixed_dims, eigenspace_character)
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "eqdeg" or module_name.startswith("eqdeg."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, attr, _refuse)
+    assert sys.modules["eqdeg.reps"].fixed_dims is _refuse
+    assert (existence_degree(config, ctx).degree,
+            basic_degrees_doc(ctx)) == expected
+    assert bifurcation_report(config, ctx, window).invariants
+
+
+@pytest.mark.parametrize("name", ["m3_d3", "m4_d3", "m6_trivial", "doubled"])
+def test_dims_table_matches_summed_characters(name):
+    config, window = _config(name)
+    ctx = build_symmetry_context(config)
+    poset = ctx.poset
+    table = spectral_table(config, ctx)
+
+    def by_characters(blocks):
+        return fixed_dims(poset, sum(eigenspace_character(ctx, j, e)
+                                     for j, e in blocks)).tolist()
+
+    for j, mu, _lam in table.negative_lambdas:
+        entry = table.entry(mu)
+        assert block_dims(ctx, j, entry).tolist() == by_characters([(j, entry)])
+    points = critical_values(ctx, table, window)
+    assert points
+    for point in points:
+        blocks = [(j, table.entry(mu)) for j, mu in point.contributions]
+        assert sum(block_dims(ctx, j, e) for j, e in blocks).tolist() == \
+            by_characters(blocks)
+    ambient = sum(irrep.character for irrep in ctx.minus.values())
+    assert ctx.maximal_types == maximal_orbit_types(poset, fixed_dims(poset, ambient))
