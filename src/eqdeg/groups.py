@@ -20,7 +20,7 @@ from .errors import ValidationError
 
 # Hard cap on materialized group order; direct products refuse to exceed it.
 MAX_GROUP_ORDER = 400
-# Hard cap on the frequencies j any loop visits over one eigenvalue.
+# Hard cap on the frequencies j a spectrum or window may need over one eigenvalue.
 MAX_FREQUENCIES = 1000
 
 

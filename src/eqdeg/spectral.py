@@ -252,8 +252,8 @@ def check_nondegeneracy(table: SpectralTable, m: int,
         if not math.isfinite(scaled):
             raise ValidationError("assumption (A5) cannot be checked: "
                                   f"m^2 mu overflows at mu={e.mu!r}")
-        top = frequency_count(-scaled, f"negative blocks at mu={e.mu!r}")
-        for j in range(top + 2):
+        blocks = frequency_count(-scaled, f"negative blocks at mu={e.mu!r}")
+        for j in range(blocks + 2):
             if abs(j * j / (m * m) + e.mu) <= tol:
                 out.append((j, e.mu))
     return out
