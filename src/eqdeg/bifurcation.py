@@ -40,7 +40,7 @@ from .errors import ValidationError
 from .groups import frequency_count
 from .spectral import (EigenvalueEntry, ProblemConfig, SpectralTable,
                        SymmetryContext, block_dims, block_terms,
-                       build_symmetry_context, matrix_spectrum)
+                       context_for, matrix_spectrum)
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,7 @@ def bifurcation_report(config: ProblemConfig,
     crosses with every irrep multiplicity odd; such a point must carry a
     nonzero invariant, which the computed omega confirms independently.
     """
-    if ctx is None:
-        ctx = build_symmetry_context(config)
+    ctx = context_for(config, ctx)
     table = matrix_spectrum(config, ctx)
     if window is None:
         window = default_window(table)

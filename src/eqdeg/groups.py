@@ -290,3 +290,20 @@ def direct_product(left: FiniteGroup, right: FiniteGroup,
     return FiniteGroup(name or f"{left.name}x{right.name}",
                        table.astype(np.int32), Product(left, right))
 
+
+def sign_factor(group: FiniteGroup) -> tuple[int, np.ndarray] | None:
+    """(z, mask of K) when the last direct factor of group is the sign group.
+
+    Then group = K x Z2 with z = (e, -1) central.  direct_product numbers
+    (a, b) as a * right.order + b, so the sign coordinate of an id is that
+    of its right component, and z, with every other coordinate at the
+    identity, is id 1.  K is the ids with sign coordinate 0.  None when
+    the group has no trailing sign factor.
+    """
+    tag = group.structure
+    if isinstance(tag, Sign):
+        return 1, np.array([True, False])
+    if isinstance(tag, Product) and (inner := sign_factor(tag.right)):
+        z, in_k = inner
+        return z, np.tile(in_k, tag.left.order)
+    return None

@@ -17,6 +17,23 @@ classes is that of the full sweep, and representatives (the conjugate
 with the least sorted id tuple) and the canonical order below do not
 depend on discovery order, so the output is unchanged.
 
+The central sign.  When the last direct factor of G is the sign group
+(groups.sign_factor: D_m x Z2 and Gamma x (D_m x Z2)), G = K x Z2 with
+z = (e, -1) central, and a subgroup S of G is one of three kinds.  Let H
+be its image in K and N = S n K.  If z is in S, S = H x Z2.  Otherwise
+S -> H is one-to-one, so N = H (S = H inside K) or N has index 2 in H and
+S is the graph N u z(H - N).  This is Goursat's lemma for K x Z2 (Balanov,
+Krawcewicz and Steinlein, Applied Equivariant Degree, 2006).  Since z is
+central, conjugating by kz is conjugating by k: the G-classes of
+subgroups of K are its K-classes, and conjugation everywhere runs over K
+only.  So the sweep runs on the prime-power elements of K alone and finds
+the classes of K; then each representative H is lifted to H x Z2 and to
+the graph of every index-2 subgroup N of H.  Those N are the conjugates
+of classes of order |H|/2 that lie inside H.  Graphs of N and of n N n^-1
+for n in N(H) are conjugate; register drops a subgroup whose conjugate it
+has seen, so the lift needs no N(H)-orbits.  Groups without a trailing
+sign factor take the same sweep with K = G and no lift.
+
 Classes are sorted canonically by (order, element-order multiset, name)
 with the sorted id tuple of the representative as a final deterministic
 tie break.  Name collisions between distinct classes get #2, #3 suffixes
@@ -32,7 +49,7 @@ import numpy as np
 
 from . import naming
 from .errors import ValidationError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, sign_factor
 
 
 def _is_prime_power(k: int) -> bool:
@@ -82,20 +99,24 @@ class SubgroupPoset:
         g = self.group
         n = g.order
         table = g.table
-        conj = table[table, g.inverse[:, None]]      # conj[h, x] = h x h^-1
+        lift = sign_factor(g)
+        z, in_k = lift if lift else (None, np.ones(n, dtype=bool))
+        k_ids = np.flatnonzero(in_k)
+        # conj[i, x] = k x k^-1 for the i-th element k of K; z is central,
+        # so conjugation by K gives every G-conjugate
+        conj = table[table[k_ids], g.inverse[k_ids, None]]
         el_orders = g.element_orders()
         ppow = np.array([_is_prime_power(int(k)) for k in el_orders])
 
         registered: set[bytes] = set()
         raw_classes: list[tuple[np.ndarray, np.ndarray]] = []   # (orbit rows, masks)
-        worklist: list[np.ndarray] = []
 
         def register(ids: np.ndarray) -> None:
             if ids.tobytes() in registered:
                 return
             # distinct conjugates as packed masks; descending masks = ascending id rows
-            member = np.zeros((n, n), dtype=bool)
-            member[np.arange(n)[:, None], conj[:, ids]] = True
+            member = np.zeros((k_ids.size, n), dtype=bool)
+            member[np.arange(k_ids.size)[:, None], conj[:, ids]] = True
             packed = np.packbits(member, axis=1)
             distinct = np.unique(packed.view(f"V{packed.shape[1]}").ravel())
             rows = distinct.view(np.uint8).reshape(-1, packed.shape[1])
@@ -104,16 +125,18 @@ class SubgroupPoset:
             for row in orbit:
                 registered.add(row.tobytes())
             raw_classes.append((orbit, masks))
-            worklist.append(orbit[0])
 
+        # sweep: the classes of K, each representative extended inside K
         register(np.array([0], dtype=np.int32))
         coset = np.empty(n, dtype=bool)
-        while worklist:
-            sub = worklist.pop()
+        swept = 0
+        while swept < len(raw_classes):
+            sub = raw_classes[swept][0][0]
+            swept += 1
             inside = np.zeros(n, dtype=bool)
             inside[sub] = True
             normalizer = np.flatnonzero(inside[conj[:, sub]].all(axis=1))
-            todo = ppow & ~inside
+            todo = ppow & in_k & ~inside
             while (candidates := np.flatnonzero(todo)).size:
                 x = candidates[0]
                 register(g.subgroup_generated(np.append(sub, x)))
@@ -121,6 +144,19 @@ class SubgroupPoset:
                 coset[:] = False
                 coset[table[sub[:, None], table[x, sub]]] = True
                 todo[conj[np.ix_(normalizer, np.flatnonzero(coset))]] = False
+
+        # lift: H x Z2 and the graphs N u z(H - N) of index-2 subgroups N of H
+        if z is not None:
+            k_masks = np.concatenate([masks for _, masks in raw_classes])
+            k_orders = k_masks.sum(axis=1)
+            for orbit, _ in raw_classes[:swept]:
+                sub = orbit[0]
+                register(np.union1d(sub, table[z, sub]))
+                rows = k_masks[2 * k_orders == sub.size]
+                for kernel in rows[rows[:, sub].sum(axis=1) == sub.size // 2]:
+                    graph = kernel.copy()
+                    graph[table[z, sub[~kernel[sub]]]] = True
+                    register(np.flatnonzero(graph).astype(np.int32))
 
         # canonical ordering; each class is named once
         keys = [(orbit.shape[1], tuple(sorted(el_orders[orbit[0]].tolist())),

@@ -162,6 +162,24 @@ def build_symmetry_context(config: ProblemConfig) -> SymmetryContext:
                            maximal_orbit_types(poset, sum(dims.values())))
 
 
+def context_for(config: ProblemConfig,
+                ctx: SymmetryContext | None) -> SymmetryContext:
+    """ctx once config is validated and fits it, or a new context.
+
+    A shared context serves configs that differ in A, spectrum, tolerance
+    or seed; its group is fixed by m, k and gamma, which must match.
+    """
+    if ctx is None:
+        return build_symmetry_context(config)
+    validate_problem(config)
+    for name in ("m", "k", "gamma"):
+        mine, shared = getattr(config, name), getattr(ctx.config, name)
+        if mine != shared:
+            raise ValidationError(f"config {name} = {mine!r} differs from the "
+                                  f"shared context's {shared!r}")
+    return ctx
+
+
 # ---------------------------------------------------------------------------
 # spectrum of A and of the linearized operator
 
@@ -385,8 +403,7 @@ def interpret(ctx: SymmetryContext, degree: BurnsideElement,
 def existence_degree(config: ProblemConfig,
                      ctx: SymmetryContext | None = None) -> DegreeReport:
     """Degree of the full nonlinear problem and its solution guarantees."""
-    if ctx is None:
-        ctx = build_symmetry_context(config)
+    ctx = context_for(config, ctx)
     table = spectral_table(config, ctx)
     dims = np.zeros(len(ctx.poset), dtype=np.int64)
     for j, mu, _lam in table.negative_lambdas:

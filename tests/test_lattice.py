@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqdeg.errors import ValidationError
-from eqdeg.groups import (direct_product, make_cyclic, make_dihedral,
+from eqdeg.groups import (FiniteGroup, direct_product, make_cyclic, make_dihedral,
                           make_permutation_group, make_sign_group)
 from eqdeg.lattice import SubgroupPoset, subgroup_poset
+from eqdeg.reps import split_ids
 
 from . import oracles
 
@@ -47,6 +48,7 @@ def all_subgroups(group):
     (direct_product(make_dihedral(4), make_sign_group()), 3),
     (direct_product(make_dihedral(6), make_sign_group()), 3),
     (direct_product(make_dihedral(3), make_dihedral(3)), 3),
+    (direct_product(make_sign_group(), make_dihedral(3)), 3),
 ], ids=lambda x: getattr(x, "name", x))
 def test_enumeration_matches_brute_force(group, max_gens):
     brute = oracles.brute_force_subgroups(group, max_gens=max_gens)
@@ -60,6 +62,7 @@ def _base(m):
 @pytest.mark.parametrize("group", [
     direct_product(make_dihedral(3), _base(3)),
     direct_product(make_dihedral(3), _base(4)),
+    direct_product(make_dihedral(2), _base(2)),
     _base(30),
     direct_product(make_permutation_group(4, [[1, 2, 3, 0]])[0], _base(2)),
 ], ids=lambda g: f"{g.name}:{g.order}")
@@ -72,6 +75,26 @@ def test_pruned_sweep_matches_unpruned_oracle(group):
         assert np.array_equal(cls.orbit_masks.nonzero()[1].reshape(orbit.shape), orbit)
         assert (cls.n_conjugates, cls.weyl_order) == (k, weyl)
     assert np.array_equal(poset.n_table, n_table)
+
+
+@pytest.mark.parametrize("group,n_classes", [
+    (_base(3), 10),
+    (direct_product(make_dihedral(3), _base(3)), 69),
+], ids=lambda x: getattr(x, "name", x))
+def test_sweep_closes_only_inside_the_sign_kernel(group, n_classes, monkeypatch):
+    # the sweep runs on K = Gamma x D_m; the rest is lifted from its classes
+    gens = []
+    closure = FiniteGroup.subgroup_generated
+
+    def recording(self, ids):
+        gens.extend(int(i) for i in ids)
+        return closure(self, ids)
+
+    monkeypatch.setattr(FiniteGroup, "subgroup_generated", recording)
+    poset = SubgroupPoset(group)
+    assert gens
+    assert not split_ids(np.array(gens), 3)[2].any()
+    assert len(poset) == n_classes
 
 
 def test_d3_classes():

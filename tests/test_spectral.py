@@ -224,6 +224,27 @@ def test_degenerate_configuration_raises(ctx_m3):
         spectral_table(cfg, ctx)
 
 
+def test_shared_context_validates_its_config():
+    # k = 3 in both: only the repeated eigenvalue is wrong
+    shared = build_symmetry_context(ProblemConfig(
+        m=3, k=3, spectrum=((Fraction(-1, 2), 3),)))
+    repeated = ProblemConfig(m=3, k=3, spectrum=((Fraction(-1, 2), 2),
+                                                 (Fraction(-1, 2), 1)))
+    for request in (existence_degree, bifurcation_report):
+        with pytest.raises(InputError, match=r"spectrum\[1\]: eigenvalue -1/2 "
+                                             "is listed twice"):
+            request(repeated, shared)
+
+
+def test_shared_context_rejects_another_group(ctx_m3):
+    for request in (existence_degree, bifurcation_report):
+        with pytest.raises(ValidationError, match="config m = 4 differs from "
+                                                  "the shared context's 3"):
+            request(case_config(4), ctx_m3)
+    # another tolerance or seed on the same group stays allowed
+    existence_degree(case_config(3, tolerance=1e-8, seed=5), ctx_m3)
+
+
 # ---------------------------------------------------------------------------
 # negative spectrum and counters
 
