@@ -153,6 +153,7 @@ class SubgroupPoset:
                 sub = orbit[0]
                 register(np.union1d(sub, table[z, sub]))
                 rows = k_masks[2 * k_orders == sub.size]
+                # the index-2 subgroups N of H: rows of order |H|/2 inside H
                 for kernel in rows[rows[:, sub].sum(axis=1) == sub.size // 2]:
                     graph = kernel.copy()
                     graph[table[z, sub[~kernel[sub]]]] = True
