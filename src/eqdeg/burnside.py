@@ -16,8 +16,14 @@ top-down solve recovers the coefficients from any mark vector:
     x_L = (mark_L - sum_{H > L} x_H n(L, H) |W(H)|) / |W(L)|.
 
 The division is exact on the image of the mark map; from_marks rejects
-any other vector.  Products, degrees (degrees.py) and bifurcation jumps
+any other vector, and any mark that is not an integer.  Products, powers,
+degrees (degrees.py, spectral.py, cli.py) and bifurcation jumps
 (bifurcation.py) all go through this one solve.
+
+Both directions walk the lattice's sparse columns: poset.below(h) lists
+the (L, n(L, H)) with n(L, H) > 0 as python ints.  A solve is a few
+thousand integer updates, so it runs as a plain loop; stepping through
+numpy columns instead cost more per call than the arithmetic itself.
 """
 
 from __future__ import annotations
@@ -62,28 +68,36 @@ class BurnsideElement:
 
     def marks(self) -> list[int]:
         """mark_L(x) = sum_H x_H n(L, H) |W(H)| for every class L, in order."""
-        out = [0] * len(self.poset)
+        poset = self.poset
+        out = [0] * len(poset)
         for h, x in self.coeffs.items():
-            _scatter(out, self.poset, h, x * self.poset.classes[h].weyl_order)
+            scale = x * poset.classes[h].weyl_order
+            for l, n in poset.below(h):
+                out[l] += scale * n
         return out
 
     @classmethod
     def from_marks(cls, poset: SubgroupPoset, marks) -> "BurnsideElement":
         """The element with these marks, solved top-down over the classes."""
-        rest = [int(v) for v in marks]
+        rest = marks.tolist() if isinstance(marks, np.ndarray) else list(marks)
         if len(rest) != len(poset):
             raise ValidationError("mark vector length does not match the lattice")
+        for l, v in enumerate(rest):
+            if type(v) is not int:
+                rest[l] = _integer_mark(poset, l, v)
         coeffs: dict[int, int] = {}
         for l in range(len(rest) - 1, -1, -1):
-            if not rest[l]:
+            v = rest[l]
+            if not v:
                 continue
-            q, r = divmod(rest[l], poset.classes[l].weyl_order)
+            q, r = divmod(v, poset.classes[l].weyl_order)
             if r:
                 raise ValidationError("marks are not those of a Burnside element: "
                                       "non-integer coefficient at class "
                                       f"{poset.classes[l].name}")
             coeffs[l] = q
-            _scatter(rest, poset, l, -rest[l])
+            for k, n in poset.below(l):
+                rest[k] -= v * n
         return cls(poset, coeffs)
 
     # -- ring structure ------------------------------------------------------
@@ -165,9 +179,14 @@ class BurnsideElement:
         return f"BurnsideElement({self})"
 
 
-def _scatter(out: list[int], poset: SubgroupPoset, h: int, scale: int) -> None:
-    """out[L] += scale * n(L, H) for every class L, in python ints."""
-    col = poset.n_table[:, h]
-    rows = np.flatnonzero(col)
-    for l, n in zip(rows.tolist(), col[rows].tolist()):
-        out[l] += scale * n
+def _integer_mark(poset: SubgroupPoset, l: int, v) -> int:
+    """v as a python int; anything but an integer is outside the mark image."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != v:
+        raise ValidationError("marks are not those of a Burnside element: "
+                              f"mark {v!r} at class {poset.classes[l].name} "
+                              "is not an integer")
+    return i

@@ -86,12 +86,19 @@ class SubgroupPoset:
     class-i representative; leq is its positivity.  masks stacks the
     representatives' membership rows and orders their orders, both in
     class order.
+
+    below(h) is column h of n_table as a sparse list of python ints, the
+    form the mark solve of burnside.py walks.  Each column is built on its
+    first use and kept in a per-class slot for the life of the poset.  A
+    lattice built for one request is solved over only a few times, so
+    building every column up front would cost more than it saves.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.classes: list[SubgroupClass] = []
         self._build()
+        self._below: list[list[tuple[int, int]] | None] = [None] * len(self.classes)
 
     # -- construction -----------------------------------------------------
 
@@ -211,6 +218,15 @@ class SubgroupPoset:
             if c.name == name:
                 return c.index
         raise ValidationError(f"no subgroup class named {name!r}")
+
+    def below(self, h: int) -> list[tuple[int, int]]:
+        """(L, n(L, H)) for every class L with n(L, H) > 0, in class order."""
+        col = self._below[h]
+        if col is None:
+            rows = np.flatnonzero(self.n_table[:, h])
+            col = list(zip(rows.tolist(), self.n_table[rows, h].tolist()))
+            self._below[h] = col
+        return col
 
     def maximal_elements(self, indices) -> list[int]:
         """Members of `indices` not strictly below another member."""

@@ -297,6 +297,37 @@ def multiply_oracle(poset: SubgroupPoset, i: int, j: int) -> BurnsideElement:
     return BurnsideElement(poset, coeffs)
 
 
+def from_marks_dense(poset: SubgroupPoset, marks) -> BurnsideElement:
+    """The element with these marks, by dense back substitution.
+
+    Independent of poset.below: mark_L = sum_H x_H n(L, H) |W(H)| is upper
+    triangular in class order with diagonal |W(L)|, so each row of n_table
+    is read whole, from the top class down, and divided exactly.
+    """
+    c = len(poset)
+    if len(marks) != c:
+        raise ValidationError("mark vector length does not match the lattice")
+    rows = poset.n_table.tolist()
+    weyl = [cls.weyl_order for cls in poset.classes]
+    scaled = [0] * c                       # x_H |W(H)|, filled top-down
+    coeffs: dict[int, int] = {}
+    for l in range(c - 1, -1, -1):
+        name = poset.classes[l].name
+        try:
+            mark = int(marks[l])
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"mark at class {name} is not an integer")
+        if mark != marks[l]:
+            raise ValidationError(f"mark at class {name} is not an integer")
+        rest = mark - sum(n * s for n, s in zip(rows[l][l + 1:], scaled[l + 1:]))
+        q, r = divmod(rest, weyl[l])
+        if r:
+            raise ValidationError(f"non-integer coefficient at class {name}")
+        coeffs[l] = q
+        scaled[l] = q * weyl[l]
+    return BurnsideElement(poset, coeffs)
+
+
 def _coset_table(poset: SubgroupPoset, i: int) -> np.ndarray:
     """Left action of G on G/H_i: (action[g, c] = coset index of g * rep_c)."""
     g = poset.group

@@ -1,19 +1,26 @@
 """Critical values and local invariants along the trivial branch."""
 
+import importlib.util
+import json
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from eqdeg.bifurcation import (bifurcation_report, critical_values,
                                local_invariant)
 from eqdeg.burnside import BurnsideElement
+from eqdeg.cli import validate_config
 from eqdeg.degrees import degree_for_character
 from eqdeg.errors import ValidationError
 from eqdeg.spectral import (ProblemConfig, build_symmetry_context,
-                            matrix_spectrum)
+                            existence_degree, matrix_spectrum)
 
 from . import oracles
 from .conftest import case_config
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ALPHAS_M3 = [Fraction(-2), Fraction(-17, 9), Fraction(-14, 9), Fraction(-1),
              Fraction(-1, 2), Fraction(-7, 18), Fraction(-2, 9),
@@ -151,3 +158,31 @@ def test_report_merges_with_the_tolerance_of_its_config():
             for inv in bifurcation_report(cfg, shared).invariants] == \
         [(inv.point.contributions, inv.branch_types) for inv in own.invariants]
 
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bif_scan_outputs_match_the_benchmark_reference():
+    # the benchmark's own stream, context and checks, on 30 of its matrices
+    workloads = _perfbench_module("workloads")
+    checks = _perfbench_module("checks")
+    reference = json.loads((PERFBENCH / "reference" / "bif_scan.json")
+                           .read_text(encoding="utf-8"))
+    requests = [req for block in islice(workloads.bif_blocks(10), 3)
+                for req in block]
+    assert len({key for key, _raw in requests}) == 30
+    ctx = build_symmetry_context(validate_config(requests[0][1])[0])
+    assert len(ctx.poset) == 284
+    for key, raw in requests:
+        config = validate_config(raw)[0]
+        report = bifurcation_report(config, ctx)
+        assert checks.report_digest(report) == reference[key], key
+        degree = existence_degree(config, ctx)
+        assert checks.mark_identity_holds(ctx, degree.table,
+                                          degree.degree.coeffs), key

@@ -11,7 +11,7 @@ from eqdeg.groups import direct_product, make_cyclic, make_dihedral, make_sign_g
 from eqdeg.lattice import subgroup_poset
 
 from . import oracles
-from .oracles import multiply_oracle
+from .oracles import from_marks_dense, multiply_oracle
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +148,64 @@ def test_marks_round_trip_and_multiply_pointwise(data, pg72):
 def test_from_marks_rejects_marks_outside_the_image(pg72):
     with pytest.raises(ValidationError, match=r"class Z1 x Z1"):
         BurnsideElement.from_marks(pg72, [1] + [0] * (len(pg72) - 1))
+
+
+@pytest.mark.parametrize("marks", [[6.9, 0.5, 0, 0.99], [float("nan"), 0, 0, 0],
+                                   [float("inf"), 0, 0, 0], ["6", 0, 0, 0],
+                                   np.array([6.5, 0, 0, 0])])
+def test_from_marks_rejects_marks_that_are_not_integers(pd3, marks):
+    # truncating 6.9 would give (Z1); every such vector is outside the image
+    with pytest.raises(ValidationError, match=r"at class Z1 is not an integer"):
+        BurnsideElement.from_marks(pd3, marks)
+    for exact in ([6, 0, 0, 0], np.array([6, 0, 0, 0]), [6.0, 0, 0, 0]):
+        assert BurnsideElement.from_marks(pd3, exact) == B(pd3, "Z1")
+
+
+@pytest.fixture(scope="module")
+def bif_poset():
+    # the bif-scan context: D3 x (D6 x Z2), |G| = 144
+    group = direct_product(make_dihedral(3),
+                           direct_product(make_dihedral(6), make_sign_group()))
+    poset = subgroup_poset(group)
+    assert len(poset) == 284
+    return poset
+
+
+def _dense_marks(poset, coeffs):
+    """marks = n_table (x |W|), one dense product per row of coeffs."""
+    weyl = np.array([c.weyl_order for c in poset.classes], dtype=np.int64)
+    return (coeffs * weyl) @ poset.n_table.T
+
+
+def test_solve_matches_the_dense_oracle_on_the_bif_scan_lattice(bif_poset):
+    rng = np.random.default_rng(10)
+    c = len(bif_poset)
+    coeffs = rng.integers(-3, 4, size=(200, c))
+    coeffs[rng.random((200, c)) < 0.8] = 0          # mostly sparse, some dense
+    coeffs[:20] = rng.integers(-3, 4, size=(20, c))
+    for x, marks in zip(coeffs, _dense_marks(bif_poset, coeffs)):
+        expected = BurnsideElement(bif_poset, dict(enumerate(x.tolist())))
+        assert BurnsideElement.from_marks(bif_poset, marks) == expected
+        assert from_marks_dense(bif_poset, marks) == expected
+        assert expected.marks() == marks.tolist()
+
+    rejected = 0
+    for x, marks in zip(coeffs[:100], _dense_marks(bif_poset, coeffs[:100])):
+        bad = marks.tolist()
+        bad[int(rng.integers(c))] += int(rng.integers(1, 4))
+        outcomes = []
+        for solve in (BurnsideElement.from_marks, from_marks_dense):
+            try:
+                outcomes.append(solve(bif_poset, bad))
+            except ValidationError:
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
+        rejected += outcomes[0] is None
+    assert rejected > 50
+    half = [v + 0.5 for v in _dense_marks(bif_poset, coeffs[:1])[0].tolist()]
+    for solve in (BurnsideElement.from_marks, from_marks_dense):
+        with pytest.raises(ValidationError, match="not an integer"):
+            solve(bif_poset, half)
 
 
 @given(data=st.data())
