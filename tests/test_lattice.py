@@ -59,16 +59,13 @@ def _base(m):
     return direct_product(make_dihedral(m), make_sign_group())
 
 
-PRUNED_GROUPS = [
+@pytest.mark.parametrize("group", [
     direct_product(make_dihedral(3), _base(3)),
     direct_product(make_dihedral(3), _base(4)),
     direct_product(make_dihedral(2), _base(2)),
     _base(30),
     direct_product(make_permutation_group(4, [[1, 2, 3, 0]])[0], _base(2)),
-]
-
-
-@pytest.mark.parametrize("group", PRUNED_GROUPS, ids=lambda g: f"{g.name}:{g.order}")
+], ids=lambda g: f"{g.name}:{g.order}")
 def test_pruned_sweep_matches_unpruned_oracle(group):
     poset = SubgroupPoset(group)
     classes, n_table = oracles.unpruned_lattice(group)
@@ -78,17 +75,12 @@ def test_pruned_sweep_matches_unpruned_oracle(group):
         assert np.array_equal(cls.orbit_masks.nonzero()[1].reshape(orbit.shape), orbit)
         assert (cls.n_conjugates, cls.weyl_order) == (k, weyl)
     assert np.array_equal(poset.n_table, n_table)
-
-
-@pytest.mark.parametrize("group", PRUNED_GROUPS, ids=lambda g: f"{g.name}:{g.order}")
-def test_below_lists_the_nonzero_column_entries(group):
-    poset = subgroup_poset(group)
+    # the solve's sparse columns: the nonzero n(L, H), as python ints, kept
     for h in range(len(poset)):
-        col = poset.n_table[:, h]
         below = poset.below(h)
-        assert below == [(l, int(col[l])) for l in np.flatnonzero(col)]
+        assert below == [(l, int(n_table[l, h])) for l in np.flatnonzero(n_table[:, h])]
         assert all(type(l) is int and type(n) is int for l, n in below)
-        assert poset.below(h) is below          # built once, then kept
+        assert poset.below(h) is below
 
 
 @pytest.mark.parametrize("group,n_classes", [
